@@ -12,7 +12,7 @@
 //!
 //! The points run the *throughput path*
 //! ([`SchedulerConfig::throughput`]): epoch-batched admission over the
-//! cost/plan memos, with slice tenants exercising prefix build reuse.
+//! cost memo, with slice tenants exercising prefix build reuse.
 //! [`check`] holds every committed-scale point to the pre-throughput
 //! baseline ([`BASELINE`]): completions and SLO attainment may never
 //! regress below the trajectory the event-per-arrival scheduler
@@ -481,6 +481,60 @@ mod tests {
         assert!(json.contains("\"cost_cache_hit_ppm\""));
         assert!(json.contains("\"sched_overhead_ns\""));
         assert_eq!(json.matches("\"mix\"").count(), rows.len());
+    }
+
+    /// The coarse-scale overload points: every mix stays within GPU memory
+    /// at 2× load and its p99 does not fall as offered load rises.
+    #[test]
+    fn sweep_saturates_and_stays_within_memory() {
+        let hw = HwConfig::ac922().scaled(2048);
+        for mix in MIXES {
+            let light = serve_point(&hw, mix, LOAD_AXIS[0], false).metrics;
+            let heavy = serve_point(&hw, mix, LOAD_AXIS[2], false).metrics;
+            assert!(heavy.completed > 0, "{mix}: nothing completed at 2x");
+            assert!(
+                heavy.peak_gpu_reserved <= heavy.gpu_capacity,
+                "{mix}: oversubscribed at 2x load"
+            );
+            assert!(
+                heavy.latency_p99.0 >= light.latency_p99.0 * 0.99,
+                "{mix}: heavier load finished faster end-to-end"
+            );
+        }
+    }
+
+    /// The coarse-scale chaos point: the resilient scheduler loses no query
+    /// to a fault and completes at least as many as the fragile one.
+    #[test]
+    fn chaos_point_recovers_more_than_it_sheds() {
+        let hw = HwConfig::ac922().scaled(2048);
+        for mix in MIXES {
+            let s_mean = mean_service_time(&hw, mix);
+            let queries = queries_at_load(&hw, mix, s_mean, CHAOS_LOAD);
+            let clean =
+                Scheduler::new(hw.clone(), SchedulerConfig::throughput()).run(queries.clone());
+            let plan = chaos_plan(&hw, &clean);
+            let resilient = Scheduler::new(hw.clone(), SchedulerConfig::throughput())
+                .run_with_faults(queries.clone(), &plan)
+                .metrics;
+            let fragile = SchedulerConfig {
+                arrival_batch: SchedulerConfig::throughput().arrival_batch,
+                ..SchedulerConfig::no_resilience()
+            };
+            let fragile = Scheduler::new(hw.clone(), fragile)
+                .run_with_faults(queries, &plan)
+                .metrics;
+            assert_eq!(
+                resilient.shed_faulted, 0,
+                "{mix}: ladder must absorb the faults"
+            );
+            assert!(
+                resilient.completed >= fragile.completed,
+                "{mix}: resilient {} < fragile {}",
+                resilient.completed,
+                fragile.completed
+            );
+        }
     }
 
     #[test]

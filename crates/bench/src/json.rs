@@ -8,29 +8,12 @@
 
 use std::fmt::Write as _;
 
+use triton_trace::json::push_str_lit;
+
 /// An in-progress JSON object.
 #[derive(Debug, Default, Clone)]
 pub struct JsonObject {
     buf: String,
-}
-
-/// Escape a string per RFC 8259.
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl JsonObject {
@@ -43,17 +26,14 @@ impl JsonObject {
         if !self.buf.is_empty() {
             self.buf.push(',');
         }
-        escape_into(&mut self.buf, k);
+        push_str_lit(&mut self.buf, k);
         self.buf.push(':');
         &mut self.buf
     }
 
     /// Add a string field.
     pub fn str(mut self, k: &str, v: &str) -> Self {
-        self.key(k);
-        let mut buf = std::mem::take(&mut self.buf);
-        escape_into(&mut buf, v);
-        self.buf = buf;
+        push_str_lit(self.key(k), v);
         self
     }
 

@@ -27,7 +27,7 @@
 //! kernels ([`triton_hw::kernel::KernelCost::timing`]), so the planner
 //! and the simulator can never disagree about what is link-bound.
 
-use triton_hw::kernel::{KernelCost, TimingCache};
+use triton_hw::kernel::KernelCost;
 use triton_hw::units::{Bytes, Ns};
 use triton_hw::HwConfig;
 use triton_mem::PlacementPlan;
@@ -175,26 +175,6 @@ pub fn estimate_pair(
     half_sms: u32,
     hw: &HwConfig,
 ) -> PairEstimate {
-    let mut memo = TimingCache::new();
-    estimate_pair_cached(part, build_tuples, probe_tuples, half_sms, hw, &mut memo)
-}
-
-/// [`estimate_pair`] with a caller-held roofline memo.
-///
-/// Skew planning prices every radix partition, and uniform workloads
-/// repeat the same `(build, probe)` totals across most partitions; the
-/// [`TimingCache`] collapses those to three roofline evaluations per
-/// distinct shape. Semantically transparent: the memo keys on the
-/// bit-exact cost fields, so the returned estimate is identical to the
-/// uncached path.
-pub fn estimate_pair_cached(
-    part: usize,
-    build_tuples: u64,
-    probe_tuples: u64,
-    half_sms: u32,
-    hw: &HwConfig,
-    memo: &mut TimingCache,
-) -> PairEstimate {
     let n = build_tuples + probe_tuples;
     let bytes = n * TUPLE_BYTES;
 
@@ -223,9 +203,9 @@ pub fn estimate_pair_cached(
     PairEstimate {
         part,
         bytes,
-        a_spilled: memo.timing(&a_sp, hw).total,
-        a_resident: memo.timing(&a_res, hw).total,
-        b: memo.timing(&b, hw).total,
+        a_spilled: a_sp.timing(hw).total,
+        a_resident: a_res.timing(hw).total,
+        b: b.timing(hw).total,
     }
 }
 

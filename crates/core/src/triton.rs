@@ -37,8 +37,7 @@ use crate::hash_table::{BucketChainTable, HashScheme, BUCKET_CHAIN_ENTRIES};
 use crate::report::{
     JoinReport, JoinResult, OverlapLanes, PairPlacement, PhaseReport, PlacementReport,
 };
-use crate::skew::{estimate_pair_cached, plan_cache, PairEstimate, PairExtent, SkewPolicy};
-use triton_hw::kernel::TimingCache;
+use crate::skew::{estimate_pair, plan_cache, PairEstimate, PairExtent, SkewPolicy};
 
 /// Target tuples per second-pass sub-partition: the build side must fit a
 /// scratchpad bucket-chaining table (2048 buckets + chained tuples within
@@ -361,21 +360,8 @@ impl TritonJoin {
         // proportional split.
         let page_size = alloc.page_size();
         let estimates: Option<Vec<PairEstimate>> = self.skew.mechanisms().map(|_| {
-            // One roofline memo across the whole plan: uniform workloads
-            // repeat the same pair shape in most partitions, so pricing
-            // collapses to a handful of roofline evaluations.
-            let mut memo = TimingCache::new();
             (0..fanout1)
-                .map(|i| {
-                    estimate_pair_cached(
-                        i,
-                        hist_r.totals[i],
-                        hist_s.totals[i],
-                        half_sms,
-                        hw,
-                        &mut memo,
-                    )
-                })
+                .map(|i| estimate_pair(i, hist_r.totals[i], hist_s.totals[i], half_sms, hw))
                 .collect()
         });
         let page_range = |offsets: &[usize], i: usize| {

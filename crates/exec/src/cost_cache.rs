@@ -17,11 +17,9 @@
 //! collide), the workload spec, and the granted operator's full
 //! configuration (cache grant included — the same query under a
 //! different grant runs a different placement). Plan operators bypass
-//! the cache: their inputs live in the plan itself and their footprint
-//! analyses are memoized separately
-//! ([`triton_plan::FootprintCache`]). Only successful runs are cached —
-//! an OOM depends on the grant under which it happened and must be
-//! re-observed, never replayed. ECC retirement flushes the cache
+//! the cache: their inputs live in the plan itself. Only successful runs
+//! are cached — an OOM depends on the grant under which it happened and
+//! must be re-observed, never replayed. ECC retirement flushes the cache
 //! wholesale: the capacity change alters future *grants*, not cached
 //! results, but a flush is cheap and keeps the invalidation story
 //! uniform (see DESIGN.md §15).
@@ -48,14 +46,27 @@ pub struct CostCache {
     pub misses: u64,
 }
 
+/// What one [`CostCache::price`] call did with the memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pricing {
+    /// Served the memoized report; the operator did not run.
+    Hit,
+    /// Ran the operator and memoized its report.
+    Miss,
+    /// Ran the operator outside the memo: caching is off, the statement
+    /// is uncacheable (a plan), or the run failed (an OOM is never
+    /// memoized). No counter moves.
+    Bypass,
+}
+
 /// Entry bound: far above any realistic distinct-tenant population; a
 /// runaway stream of unique workloads evicts in insertion order.
 const COST_CACHE_CAP: usize = 512;
 
 impl CostCache {
-    /// New cache; when `enabled` is false every lookup misses silently
-    /// (no counters move) and nothing is stored, so the disabled path is
-    /// byte-identical to the pre-cache scheduler.
+    /// New cache; when `enabled` is false every pricing bypasses the
+    /// memo (no counters move) and nothing is stored, so the disabled
+    /// path is byte-identical to the pre-cache scheduler.
     pub fn new(enabled: bool) -> Self {
         CostCache {
             enabled,
@@ -113,63 +124,40 @@ impl CostCache {
         Some((lo, hi))
     }
 
-    /// Served report for `key`, if memoized. Counts a hit.
-    pub fn lookup(&mut self, key: Option<CostKey>) -> Option<JoinReport> {
-        if !self.enabled {
-            return None;
-        }
-        let rep = key.and_then(|k| self.entries.get(&k)).cloned();
-        match rep {
-            Some(r) => {
-                self.hits += 1;
-                Some(r)
-            }
-            None => None,
-        }
-    }
-
-    /// Record a pricing run that had to execute. Counts a miss for
-    /// cacheable keys; uncacheable pricings leave the counters alone.
-    pub fn insert(&mut self, key: Option<CostKey>, report: &JoinReport) {
-        if !self.enabled {
-            return;
-        }
-        let Some(k) = key else { return };
-        self.misses += 1;
-        if self.entries.len() >= COST_CACHE_CAP {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-            }
-        }
-        if self.entries.insert(k, report.clone()).is_none() {
-            self.order.push_back(k);
-        }
-    }
-
     /// Price `query` under `grant`: memo hit when possible, otherwise
     /// run the granted operator and (on success) memoize the report.
-    /// Returns the report together with whether it was served from the
-    /// cache — identical to calling [`Operator::run`] directly.
+    /// Returns the report together with what the memo did — the report
+    /// is identical to calling [`Operator::run`] directly.
     pub fn price(
         &mut self,
         query: &JoinQuery,
         grant: &Reservation,
         hw: &triton_hw::HwConfig,
-    ) -> (Result<JoinReport, triton_mem::OutOfMemory>, bool) {
+    ) -> (Result<JoinReport, triton_mem::OutOfMemory>, Pricing) {
         let op = operator_with_grant(query, grant);
         let key = if self.enabled {
             Self::key(query, &op)
         } else {
             None
         };
-        if let Some(rep) = self.lookup(key) {
-            return (Ok(rep), true);
+        if let Some(rep) = key.and_then(|k| self.entries.get(&k)) {
+            self.hits += 1;
+            return (Ok(rep.clone()), Pricing::Hit);
         }
         let out = op.run(&query.workload, hw);
-        if let Ok(rep) = &out {
-            self.insert(key, rep);
+        let (Some(k), Ok(rep)) = (key, &out) else {
+            return (out, Pricing::Bypass);
+        };
+        self.misses += 1;
+        if self.entries.len() >= COST_CACHE_CAP {
+            if let Some(old) = self.order.pop_front() {
+                self.entries.remove(&old);
+            }
         }
-        (out, false)
+        if self.entries.insert(k, rep.clone()).is_none() {
+            self.order.push_back(k);
+        }
+        (out, Pricing::Miss)
     }
 
     /// Drop every memoized report (ECC-retirement invalidation hook).
@@ -218,9 +206,9 @@ mod tests {
     fn hit_is_byte_identical_to_the_run_it_replays() {
         let mut c = CostCache::new(true);
         let q = query(1);
-        let (first, cached1) = c.price(&q, &grant(0), &hw());
-        let (second, cached2) = c.price(&q, &grant(0), &hw());
-        assert!(!cached1 && cached2);
+        let (first, p1) = c.price(&q, &grant(0), &hw());
+        let (second, p2) = c.price(&q, &grant(0), &hw());
+        assert_eq!((p1, p2), (Pricing::Miss, Pricing::Hit));
         let (a, b) = (first.unwrap(), second.unwrap());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!((c.hits, c.misses), (1, 1));
@@ -248,9 +236,9 @@ mod tests {
     fn disabled_cache_is_inert() {
         let mut c = CostCache::new(false);
         let q = query(1);
-        let (_, cached1) = c.price(&q, &grant(0), &hw());
-        let (_, cached2) = c.price(&q, &grant(0), &hw());
-        assert!(!cached1 && !cached2);
+        let (_, p1) = c.price(&q, &grant(0), &hw());
+        let (_, p2) = c.price(&q, &grant(0), &hw());
+        assert_eq!((p1, p2), (Pricing::Bypass, Pricing::Bypass));
         assert_eq!((c.hits, c.misses), (0, 0));
         assert!(c.is_empty());
     }

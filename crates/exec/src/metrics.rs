@@ -4,6 +4,7 @@
 
 use triton_hw::units::{Bytes, Ns};
 use triton_metrics::{sim_ns, Log2Histogram};
+use triton_trace::json::push_str_lit;
 
 use crate::scheduler::{Outcome, RejectReason};
 
@@ -105,7 +106,7 @@ pub struct SchedulerMetrics {
     pub grant_revisions: u64,
     /// Cache bytes reclaimed from running queries by shrink revisions.
     pub grant_reclaimed: Bytes,
-    /// Operator pricings served from the cost/plan memo (repeat tenants
+    /// Operator pricings served from the cost memo (repeat tenants
     /// skipping partitioning, planning, and the roofline entirely).
     pub cost_cache_hits: u64,
     /// Operator pricings that had to run. Zero when cost caching is
@@ -308,9 +309,13 @@ impl SchedulerMetrics {
             if i > 0 {
                 phases.push(',');
             }
+            phases.push_str("{\"op\":");
+            push_str_lit(&mut phases, &r.operator);
+            phases.push_str(",\"phase\":");
+            push_str_lit(&mut phases, &r.phase);
             phases.push_str(&format!(
-                "{{\"op\":\"{}\",\"phase\":\"{}\",\"count\":{},\"time_ns\":{},\"bytes\":{}}}",
-                r.operator, r.phase, r.count, r.time.0, r.bytes.0,
+                ",\"count\":{},\"time_ns\":{},\"bytes\":{}}}",
+                r.count, r.time.0, r.bytes.0,
             ));
         }
         phases.push(']');

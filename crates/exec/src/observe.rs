@@ -31,6 +31,7 @@ use triton_hw::HwConfig;
 use triton_metrics::{sim_ns, MetricsRegistry};
 use triton_trace::{Attr, FlightRecorder, Trace, TraceEvent};
 
+use crate::cost_cache::Pricing;
 use crate::metrics::PhaseRollup;
 use crate::query::{JoinQuery, QueryId};
 use crate::scheduler::{CompletedQuery, RejectReason};
@@ -320,17 +321,18 @@ impl Recorder {
         }
     }
 
-    /// An operator pricing was resolved through the cost/plan memo:
+    /// An operator pricing went through the cost memo:
     /// `sched.cost_cache.hit` when the memo served a cached report,
-    /// `sched.cost_cache.miss` when the operator had to run. Registry
-    /// counters only — no trace events, so the trace stays byte-identical
-    /// with the memo on or off, and a disabled memo (which never calls
-    /// this) differs from an enabled one in exactly these counter lanes.
-    pub fn cost_cache(&mut self, hit: bool, ts: Ns) {
-        let name = if hit {
-            "sched.cost_cache.hit"
-        } else {
-            "sched.cost_cache.miss"
+    /// `sched.cost_cache.miss` when the operator ran and was memoized, and
+    /// nothing on a bypass. Registry counters only — no trace events, so
+    /// the trace stays byte-identical with the memo on or off, and a
+    /// disabled memo (which always bypasses) differs from an enabled one
+    /// in exactly these counter lanes.
+    pub fn cost_cache(&mut self, pricing: Pricing, ts: Ns) {
+        let name = match pricing {
+            Pricing::Hit => "sched.cost_cache.hit",
+            Pricing::Miss => "sched.cost_cache.miss",
+            Pricing::Bypass => return,
         };
         self.registry.counter_inc(name, sim_ns(ts.0));
     }

@@ -220,11 +220,9 @@ pub struct SchedulerConfig {
     /// loop, reproduced exactly. An idle machine always wakes on the
     /// first arrival regardless.
     pub arrival_batch: usize,
-    /// Memoize repeat scheduling work — operator pricing
-    /// ([`crate::CostCache`]) and plan-footprint analyses
-    /// ([`triton_plan::FootprintCache`]) — across decisions.
-    /// Semantically transparent: outcomes, trace, and SLO accounts are
-    /// identical with the memos on or off (only the
+    /// Memoize repeat operator pricings ([`crate::CostCache`]) across
+    /// decisions. Semantically transparent: outcomes, trace, and SLO
+    /// accounts are identical with the memo on or off (only the
     /// `sched.cost_cache.*` telemetry counters differ).
     pub cost_caching: bool,
 }
@@ -275,7 +273,7 @@ impl SchedulerConfig {
 
     /// The sustained-load throughput path: epoch-batched admission
     /// (arrival wakes amortized over batches of 8) on top of the default
-    /// cost/plan memos. Per-query outcomes are unchanged in kind —
+    /// cost memo. Per-query outcomes are unchanged in kind —
     /// every query still terminates with a typed outcome and exact
     /// results — but decision points, and therefore scheduler overhead
     /// per arrival, drop under bursty load.
@@ -419,7 +417,6 @@ impl Scheduler {
 
         let mut obs = Recorder::new(self.config.flight_capacity);
         let mut admission = AdmissionController::new(&self.hw);
-        admission.set_plan_caching(self.config.cost_caching);
         let mut cache = BuildCache::new();
         let mut costs = CostCache::new(self.config.cost_caching);
         let mut queue: VecDeque<Queued> = VecDeque::new();
@@ -561,7 +558,7 @@ impl Scheduler {
                 // Anything still queued can never start (no completions
                 // left to free memory): shed it as over-capacity backlog.
                 while let Some(q) = queue.pop_front() {
-                    let floor = admission.min_reserve_of(&q.query, &self.hw);
+                    let floor = AdmissionController::min_reserve(&q.query, &self.hw);
                     let reason = RejectReason::OverCapacity {
                         needed: floor,
                         capacity: admission.capacity(),
@@ -940,13 +937,8 @@ impl Scheduler {
             // and timing change, the answer cannot. Re-pricings go
             // through the memo too: a repeat shrink to a grant already
             // priced replays the identical report.
-            let (h0, m0) = (costs.hits, costs.misses);
-            let (priced, _) = costs.price(&r.query, &out.grant, &self.hw);
-            if costs.hits > h0 {
-                obs.cost_cache(true, clock);
-            } else if costs.misses > m0 {
-                obs.cost_cache(false, clock);
-            }
+            let (priced, pricing) = costs.price(&r.query, &out.grant, &self.hw);
+            obs.cost_cache(pricing, clock);
             if let Ok(rep) = priced {
                 let r_bytes = r.query.workload.r.len() as u64 * TUPLE_BYTES;
                 let s_bytes = r.query.workload.s.len() as u64 * TUPLE_BYTES;
@@ -983,14 +975,6 @@ impl Scheduler {
     /// Admit queued queries in priority order while memory, the
     /// concurrency cap, and deadlines allow. Entries sleeping out a
     /// retry backoff are skipped until eligible.
-    ///
-    /// The walk is a single sweep: a cursor remembers how far the
-    /// priority order has been scanned at this instant, so admitting a
-    /// whole epoch batch is one pass over the queue instead of a
-    /// from-the-front rescan per admission (entries before the cursor
-    /// were already found ineligible and the clock does not move inside
-    /// an admit pass; only a re-enqueue can seat an eligible entry in
-    /// scanned territory, which rewinds the cursor).
     #[allow(clippy::too_many_arguments)]
     fn admit_ready(
         &self,
@@ -1005,19 +989,11 @@ impl Scheduler {
         grant_revisions: &mut u64,
         grant_reclaimed: &mut Bytes,
     ) {
-        let mut cursor = 0usize;
         'admit: while running.len() < self.config.max_inflight {
-            // Highest-priority eligible entry (sleepers excluded) at or
-            // past the cursor.
-            let Some(off) = queue
-                .iter()
-                .skip(cursor)
-                .position(|q| q.eligible_at.0 <= clock.0)
-            else {
+            // Highest-priority eligible entry (sleepers excluded).
+            let Some(pos) = queue.iter().position(|q| q.eligible_at.0 <= clock.0) else {
                 break;
             };
-            let pos = cursor + off;
-            cursor = pos;
 
             // Deadline shedding: a query whose budget is already spent
             // queueing will miss it regardless — drop it now.
@@ -1045,7 +1021,7 @@ impl Scheduler {
             // always terminates. A query too big for the *pristine*
             // machine is shed with the typed reason as always.
             loop {
-                let floor = admission.min_reserve_of(&queue[pos].query, &self.hw);
+                let floor = AdmissionController::min_reserve(&queue[pos].query, &self.hw);
                 if floor <= admission.capacity() {
                     break;
                 }
@@ -1099,7 +1075,7 @@ impl Scheduler {
                         if !(elastic && queue[pos].query.deadline.is_some()) {
                             break;
                         }
-                        let floor = admission.min_reserve_of(&queue[pos].query, &self.hw);
+                        let floor = AdmissionController::min_reserve(&queue[pos].query, &self.hw);
                         self.reclaim_cache(
                             |a| floor.saturating_sub(a.available()),
                             "burst-admission",
@@ -1143,13 +1119,8 @@ impl Scheduler {
             // Functional dedicated run with the granted cache budget,
             // memoized: a repeat (workload, grant) pricing replays the
             // byte-identical report instead of re-running the operator.
-            let (h0, m0) = (costs.hits, costs.misses);
-            let priced = costs.price(&q.query, &reservation, &self.hw).0;
-            if costs.hits > h0 {
-                obs.cost_cache(true, clock);
-            } else if costs.misses > m0 {
-                obs.cost_cache(false, clock);
-            }
+            let (priced, pricing) = costs.price(&q.query, &reservation, &self.hw);
+            obs.cost_cache(pricing, clock);
             let report = match priced {
                 Ok(rep) => rep,
                 Err(e) => {
@@ -1168,9 +1139,6 @@ impl Scheduler {
                             q.eligible_at = clock;
                             obs.downgrade(q.id, clock, from, q.query.op.label(), "oom");
                             enqueue(queue, q);
-                            // The requeued entry is eligible now and may
-                            // land anywhere in priority order: rescan.
-                            cursor = 0;
                             continue;
                         }
                     }

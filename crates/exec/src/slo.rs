@@ -26,6 +26,7 @@
 //! [`Log2Histogram`] rather than per-query vectors.
 
 use triton_metrics::Log2Histogram;
+use triton_trace::json::push_str_lit;
 
 /// Default error budget: 1 % of deadline-holding queries may violate.
 pub const DEFAULT_ERROR_BUDGET_PPM: u64 = 10_000;
@@ -109,9 +110,10 @@ impl SloAccount {
     /// Deterministic JSON encoding with a fixed key order.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"tenant\":\"{}\",\"completed\":{},\"shed\":{},\"slo_total\":{},\"slo_met\":{},\"attainment_ppm\":{},\"error_budget_ppm\":{},\"budget_burn_ppm\":{},\"grant_revisions\":{},\"latency_p50_ns\":{},\"latency_p99_ns\":{},\"latency_max_ns\":{}}}",
-            self.tenant,
+        let mut out = String::from("{\"tenant\":");
+        push_str_lit(&mut out, &self.tenant);
+        out.push_str(&format!(
+            ",\"completed\":{},\"shed\":{},\"slo_total\":{},\"slo_met\":{},\"attainment_ppm\":{},\"error_budget_ppm\":{},\"budget_burn_ppm\":{},\"grant_revisions\":{},\"latency_p50_ns\":{},\"latency_p99_ns\":{},\"latency_max_ns\":{}}}",
             self.completed,
             self.shed,
             self.slo_total,
@@ -123,7 +125,8 @@ impl SloAccount {
             self.latency.value_at_percentile(50),
             self.latency.value_at_percentile(99),
             self.latency.max(),
-        )
+        ));
+        out
     }
 
     /// One-line human summary.
@@ -197,5 +200,15 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    #[test]
+    fn json_escapes_the_caller_supplied_tenant() {
+        let a = SloAccount::new(tenant_of("a\"b-1"));
+        let json = a.to_json();
+        assert!(
+            json.starts_with("{\"tenant\":\"a\\\"b\",\"completed\":0,"),
+            "tenant must be a well-formed JSON string: {json}"
+        );
     }
 }

@@ -341,97 +341,6 @@ pub enum Bound {
     TlbService,
 }
 
-/// Memoizes [`KernelCost::timing`] results for one fixed [`HwConfig`].
-///
-/// The roofline is a pure function of the cost's numeric fields and the
-/// hardware, so within a run (where the hardware never changes) two
-/// kernels with the same traffic shape always time identically. Callers
-/// that price many same-shaped kernels — skew planning prices three
-/// kernels per radix partition, and uniform workloads repeat the same
-/// partition totals hundreds of times — key the memo on the bit-exact
-/// encoding of every timing-relevant field (the `name` is ignored; it
-/// never enters the roofline).
-///
-/// The cache is bounded and evicts in insertion order, so a pathological
-/// stream of distinct shapes degrades to plain recomputation instead of
-/// unbounded growth.
-#[derive(Debug, Default)]
-pub struct TimingCache {
-    entries: std::collections::BTreeMap<[u64; 18], KernelTiming>,
-    order: std::collections::VecDeque<[u64; 18]>,
-    /// Lookups answered from the memo.
-    pub hits: u64,
-    /// Lookups that had to run the roofline.
-    pub misses: u64,
-}
-
-/// Entry bound: comfortably above any one join's distinct kernel shapes.
-const TIMING_CACHE_CAP: usize = 4096;
-
-impl TimingCache {
-    /// New empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bit-exact key over every field [`KernelCost::timing`] reads.
-    fn key(cost: &KernelCost) -> [u64; 18] {
-        let lt = &cost.link;
-        let gm = &cost.gpu_mem;
-        let tlb = &cost.tlb;
-        [
-            lt.seq_read.0,
-            lt.seq_write.0,
-            lt.rand_read.wire_data_dir.0,
-            lt.rand_read.wire_ctrl_dir.0,
-            lt.rand_read.transactions,
-            lt.rand_read.partial_txns,
-            lt.rand_write.wire_data_dir.0,
-            lt.rand_write.wire_ctrl_dir.0,
-            lt.rand_write.transactions,
-            lt.rand_write.partial_txns,
-            gm.read.0,
-            gm.write.0,
-            gm.rand_write.0,
-            gm.rand_read.0,
-            cost.instructions,
-            tlb.serialized_walks,
-            u64::from(cost.sms),
-            cost.sync_cycles,
-        ]
-    }
-
-    /// Memoized [`KernelCost::timing`]: identical output, cached by shape.
-    pub fn timing(&mut self, cost: &KernelCost, hw: &HwConfig) -> KernelTiming {
-        let key = Self::key(cost);
-        if let Some(t) = self.entries.get(&key) {
-            self.hits += 1;
-            return *t;
-        }
-        self.misses += 1;
-        let t = cost.timing(hw);
-        if self.entries.len() >= TIMING_CACHE_CAP {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-            }
-        }
-        if self.entries.insert(key, t).is_none() {
-            self.order.push_back(key);
-        }
-        t
-    }
-
-    /// Cached shapes currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// GPU stall-reason attribution (Fig 15b / Fig 18f). Percentages of GPU
 /// cycles, summing to ~100.
 #[derive(Debug, Clone, Copy, Default)]
@@ -721,34 +630,6 @@ mod tests {
             "{}",
             t.total
         );
-    }
-
-    #[test]
-    fn timing_cache_replays_the_roofline_exactly() {
-        let h = hw();
-        let mut cache = TimingCache::new();
-        let mut k = KernelCost::new("scan");
-        k.link.seq_read = Bytes::gib(4);
-        k.instructions = 1000;
-        let direct = k.timing(&h);
-        let miss = cache.timing(&k, &h);
-        // The name never enters the roofline, so a renamed same-shape
-        // kernel must hit.
-        let renamed = KernelCost {
-            name: String::from("scan-2"),
-            ..k.clone()
-        };
-        let hit = cache.timing(&renamed, &h);
-        assert_eq!(format!("{direct:?}"), format!("{miss:?}"));
-        assert_eq!(format!("{direct:?}"), format!("{hit:?}"));
-        assert_eq!((cache.hits, cache.misses), (1, 1));
-        assert_eq!(cache.len(), 1);
-        // A shape change is a distinct key, not a stale replay.
-        let mut wider = k.clone();
-        wider.link.seq_read = Bytes::gib(8);
-        let other = cache.timing(&wider, &h);
-        assert!(other.total.0 > miss.total.0);
-        assert_eq!((cache.hits, cache.misses), (1, 2));
     }
 
     #[test]

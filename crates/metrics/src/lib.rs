@@ -15,8 +15,9 @@
 //! * [`MetricsRegistry::expose_text`] / [`MetricsRegistry::expose_json`]
 //!   — deterministic exposition formats pinned byte-for-byte by CI.
 //!
-//! The crate is dependency-free (like `triton-trace`) so any layer of
-//! the stack can be instrumented without dependency cycles: `triton-mem`
+//! The crate depends only on `triton-trace` (for its JSON string
+//! escaper), the lowest crate of the stack, so any layer can be
+//! instrumented without dependency cycles: `triton-mem`
 //! reports allocator occupancy, `triton-hw` prices utilization samples,
 //! `triton-exec` owns the registry and samples at scheduler decision
 //! points.

@@ -29,6 +29,7 @@
 
 use crate::hist::Log2Histogram;
 use std::collections::BTreeMap;
+use triton_trace::json::push_str_lit;
 
 /// Last-value gauge with exact min/max/sample-count envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -281,24 +282,22 @@ impl MetricsRegistry {
         out.push_str(&format!("\"window_ns\":{}", self.window_ns));
         out.push_str(",\"counters\":{");
         push_entries(&mut out, self.counters.iter(), |out, (name, total)| {
-            out.push_str(&format!("{}:{}", quote(name), total));
+            push_str_lit(out, name);
+            out.push_str(&format!(":{total}"));
         });
         out.push_str("},\"gauges\":{");
         push_entries(&mut out, self.gauges.iter(), |out, (name, g)| {
+            push_str_lit(out, name);
             out.push_str(&format!(
-                "{}:{{\"last\":{},\"min\":{},\"max\":{},\"samples\":{}}}",
-                quote(name),
-                g.last,
-                g.min,
-                g.max,
-                g.samples
+                ":{{\"last\":{},\"min\":{},\"max\":{},\"samples\":{}}}",
+                g.last, g.min, g.max, g.samples
             ));
         });
         out.push_str("},\"histograms\":{");
         push_entries(&mut out, self.hists.iter(), |out, (name, h)| {
+            push_str_lit(out, name);
             out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
-                quote(name),
+                ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
                 h.count(),
                 h.sum(),
                 h.min(),
@@ -327,22 +326,6 @@ where
         }
         f(out, e);
     }
-}
-
-/// Minimal RFC 8259 string quoting for metric names.
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

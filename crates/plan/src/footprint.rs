@@ -134,104 +134,6 @@ pub fn plan_footprint(
     }
 }
 
-/// Memoizes [`plan_footprint`] analyses for one fixed hardware model.
-///
-/// The footprint is a pure function of the plan shape, the input
-/// cardinalities, the budget, and the materialization flag — admission
-/// re-derives it on every scheduling decision for a plan query, and
-/// repeat tenants re-derive it per arrival. The memo keys on a 128-bit
-/// FNV-1a fingerprint of exactly those inputs (the plan's structural
-/// debug encoding covers every node, predicate, and emit map), so a hit
-/// returns a byte-identical [`Footprint`].
-///
-/// Bounded: a stream of distinct plans evicts in insertion order rather
-/// than growing without limit.
-#[derive(Debug, Default)]
-pub struct FootprintCache {
-    entries: std::collections::BTreeMap<(u64, u64), Footprint>,
-    order: std::collections::VecDeque<(u64, u64)>,
-    /// Analyses answered from the memo.
-    pub hits: u64,
-    /// Analyses that ran the full placement pass.
-    pub misses: u64,
-}
-
-/// Entry bound: far above any realistic live tenant-plan population.
-const FOOTPRINT_CACHE_CAP: usize = 1024;
-
-impl FootprintCache {
-    /// New empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// 128-bit FNV-1a fingerprint of the analysis inputs.
-    fn key(plan: &Plan, input_tuples: &[u64], budget: u64, force_materialize: bool) -> (u64, u64) {
-        let mut lo = 0xcbf2_9ce4_8422_2325u64;
-        let mut hi = 0x6c62_272e_07bb_0142u64;
-        let mut eat = |byte: u8| {
-            lo = (lo ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-            hi = (hi ^ u64::from(byte).rotate_left(17)).wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        for byte in format!("{:?}", plan.nodes).bytes() {
-            eat(byte);
-        }
-        for &t in input_tuples {
-            for byte in t.to_le_bytes() {
-                eat(byte);
-            }
-        }
-        for byte in budget.to_le_bytes() {
-            eat(byte);
-        }
-        eat(u8::from(force_materialize));
-        (lo, hi)
-    }
-
-    /// Memoized [`plan_footprint`]: identical output, cached by inputs.
-    pub fn footprint(
-        &mut self,
-        plan: &Plan,
-        input_tuples: &[u64],
-        hw: &HwConfig,
-        budget: u64,
-        force_materialize: bool,
-    ) -> Footprint {
-        let key = Self::key(plan, input_tuples, budget, force_materialize);
-        if let Some(fp) = self.entries.get(&key) {
-            self.hits += 1;
-            return fp.clone();
-        }
-        self.misses += 1;
-        let fp = plan_footprint(plan, input_tuples, hw, budget, force_materialize);
-        if self.entries.len() >= FOOTPRINT_CACHE_CAP {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-            }
-        }
-        if self.entries.insert(key, fp.clone()).is_none() {
-            self.order.push_back(key);
-        }
-        fp
-    }
-
-    /// Drop every memoized analysis (ECC retirement invalidation hook).
-    pub fn flush(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-    }
-
-    /// Cached analyses currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,27 +188,6 @@ mod tests {
         let hw = HwConfig::ac922().scaled(512);
         let fp = plan_footprint(&two_join_plan(), &[100, 400, 1600], &hw, u64::MAX, true);
         assert!(fp.resident.iter().all(|&r| !r));
-    }
-
-    #[test]
-    fn footprint_cache_is_transparent_and_counts() {
-        let hw = HwConfig::ac922().scaled(512);
-        let plan = two_join_plan();
-        let tuples = [100u64, 400, 1600];
-        let mut memo = FootprintCache::new();
-        let direct = plan_footprint(&plan, &tuples, &hw, hw.gpu.mem_capacity.0, false);
-        let miss = memo.footprint(&plan, &tuples, &hw, hw.gpu.mem_capacity.0, false);
-        let hit = memo.footprint(&plan, &tuples, &hw, hw.gpu.mem_capacity.0, false);
-        assert_eq!(direct, miss);
-        assert_eq!(direct, hit);
-        assert_eq!((memo.hits, memo.misses), (1, 1));
-        // A different budget is a different key, not a stale hit.
-        let other = memo.footprint(&plan, &tuples, &hw, 0, false);
-        assert_eq!(other, plan_footprint(&plan, &tuples, &hw, 0, false));
-        assert_eq!((memo.hits, memo.misses), (1, 2));
-        assert_eq!(memo.len(), 2);
-        memo.flush();
-        assert!(memo.is_empty());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod tpch;
 
 pub use dag::{EmitMap, Plan, PlanError, PlanNode, Predicate};
 pub use exec::{execute, record_plan, NodeOutcome, PlanConfig, PlanRun};
-pub use footprint::{estimate_cardinalities, plan_footprint, Footprint, FootprintCache};
+pub use footprint::{estimate_cardinalities, plan_footprint, Footprint};
 pub use oracle::reference_plan;
 pub use query::PlanQuery;
 pub use tpch::{plan_for, tpch_query};

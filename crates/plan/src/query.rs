@@ -11,7 +11,7 @@ use triton_mem::OutOfMemory;
 
 use crate::dag::{Plan, PlanError};
 use crate::exec::{execute, PlanConfig, PlanRun};
-use crate::footprint::{plan_footprint, Footprint, FootprintCache};
+use crate::footprint::{plan_footprint, Footprint};
 
 /// A multi-operator query ready to serve: the DAG, its base relations,
 /// and the execution knobs the scheduler may adjust.
@@ -72,20 +72,6 @@ impl PlanQuery {
     /// reproduces the same residency decisions, so the grant is tight.
     pub fn min_reserve(&self, hw: &HwConfig) -> Bytes {
         let fp = self.footprint(hw, hw.gpu.mem_capacity.0);
-        Bytes(fp.peak)
-    }
-
-    /// [`Self::min_reserve`] through a caller-held footprint memo.
-    /// Identical result; repeat tenants skip the placement pass.
-    pub fn min_reserve_cached(&self, hw: &HwConfig, memo: &mut FootprintCache) -> Bytes {
-        let tuples: Vec<u64> = self.inputs.iter().map(|r| r.len() as u64).collect();
-        let fp = memo.footprint(
-            &self.plan,
-            &tuples,
-            hw,
-            hw.gpu.mem_capacity.0,
-            self.force_materialize,
-        );
         Bytes(fp.peak)
     }
 

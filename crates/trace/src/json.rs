@@ -1,10 +1,11 @@
 //! Minimal JSON encoding helpers: string escaping and deterministic
-//! number formatting. In-tree because the workspace is dependency-free.
+//! number formatting. In-tree because the workspace is dependency-free;
+//! [`push_str_lit`] is the workspace's one JSON string escaper.
 
 use std::fmt::Write;
 
 /// Append `s` as a JSON string literal (with quotes) to `out`.
-pub(crate) fn push_str_lit(out: &mut String, s: &str) {
+pub fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -40,7 +40,7 @@
 mod chrome;
 mod event;
 mod flight;
-mod json;
+pub mod json;
 mod recorder;
 
 pub use chrome::{to_chrome_json, validate_chrome};
