@@ -40,10 +40,6 @@ pub struct CostCache {
     enabled: bool,
     entries: BTreeMap<CostKey, JoinReport>,
     order: VecDeque<CostKey>,
-    /// Pricings served from the memo.
-    pub hits: u64,
-    /// Pricings that ran the operator.
-    pub misses: u64,
 }
 
 /// What one [`CostCache::price`] call did with the memo.
@@ -55,7 +51,7 @@ pub enum Pricing {
     Miss,
     /// Ran the operator outside the memo: caching is off, the statement
     /// is uncacheable (a plan), or the run failed (an OOM is never
-    /// memoized). No counter moves.
+    /// memoized). The recorder counts it as neither hit nor miss.
     Bypass,
 }
 
@@ -65,8 +61,8 @@ const COST_CACHE_CAP: usize = 512;
 
 impl CostCache {
     /// New cache; when `enabled` is false every pricing bypasses the
-    /// memo (no counters move) and nothing is stored, so the disabled
-    /// path is byte-identical to the pre-cache scheduler.
+    /// memo and nothing is stored, so the disabled path is
+    /// byte-identical to the pre-cache scheduler.
     pub fn new(enabled: bool) -> Self {
         CostCache {
             enabled,
@@ -141,14 +137,12 @@ impl CostCache {
             None
         };
         if let Some(rep) = key.and_then(|k| self.entries.get(&k)) {
-            self.hits += 1;
             return (Ok(rep.clone()), Pricing::Hit);
         }
         let out = op.run(&query.workload, hw);
         let (Some(k), Ok(rep)) = (key, &out) else {
             return (out, Pricing::Bypass);
         };
-        self.misses += 1;
         if self.entries.len() >= COST_CACHE_CAP {
             if let Some(old) = self.order.pop_front() {
                 self.entries.remove(&old);
@@ -211,22 +205,19 @@ mod tests {
         assert_eq!((p1, p2), (Pricing::Miss, Pricing::Hit));
         let (a, b) = (first.unwrap(), second.unwrap());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!((c.hits, c.misses), (1, 1));
     }
 
     #[test]
     fn distinct_grants_and_data_never_collide() {
         let mut c = CostCache::new(true);
         let q = query(1);
-        let _ = c.price(&q, &grant(0), &hw());
+        assert_eq!(c.price(&q, &grant(0), &hw()).1, Pricing::Miss);
         // A different cache grant is a different placement: miss.
-        let _ = c.price(&q, &grant(1 << 24), &hw());
-        assert_eq!((c.hits, c.misses), (0, 2));
+        assert_eq!(c.price(&q, &grant(1 << 24), &hw()).1, Pricing::Miss);
         // Same spec, different S data (a probe batch): miss.
         let mut probe = q.clone();
         probe.workload = JoinQuery::probe_batch(&q.workload, 99);
-        let _ = c.price(&probe, &grant(0), &hw());
-        assert_eq!((c.hits, c.misses), (0, 3));
+        assert_eq!(c.price(&probe, &grant(0), &hw()).1, Pricing::Miss);
         assert_eq!(c.len(), 3);
         c.flush();
         assert!(c.is_empty());
@@ -239,7 +230,6 @@ mod tests {
         let (_, p1) = c.price(&q, &grant(0), &hw());
         let (_, p2) = c.price(&q, &grant(0), &hw());
         assert_eq!((p1, p2), (Pricing::Bypass, Pricing::Bypass));
-        assert_eq!((c.hits, c.misses), (0, 0));
         assert!(c.is_empty());
     }
 }

@@ -34,7 +34,8 @@
 //! * [`SchedulerMetrics`] — aggregate throughput, p50/p99 latency
 //!   (resolved by a bounded streaming log2 histogram), memory high-water
 //!   marks, shed counts, fault/recovery accounting, and a stable JSON
-//!   encoding for determinism checks.
+//!   encoding for determinism checks; read off the run's [`Recorder`],
+//!   the one place every scheduler event is counted.
 //! * Telemetry ([`crate::observe`], [`triton_metrics`]) — a windowed
 //!   time-series registry on the simulated clock: allocator occupancy
 //!   and fragmentation gauges, link/SM utilization sampled off the

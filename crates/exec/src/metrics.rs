@@ -1,12 +1,15 @@
 //! Aggregate serving metrics: throughput, latency percentiles, memory
 //! high-water marks, shedding counts, and fault/recovery accounting for
 //! one scheduler run.
+//!
+//! Nothing here counts: [`SchedulerMetrics`] is read off the run's
+//! [`crate::observe::Recorder`] by [`crate::observe::Recorder::finish`]
+//! — the same registry series, phase rollups, and SLO ledgers the
+//! telemetry exposes — so every total agrees with its breakdown by
+//! construction.
 
 use triton_hw::units::{Bytes, Ns};
-use triton_metrics::{sim_ns, Log2Histogram};
 use triton_trace::json::push_str_lit;
-
-use crate::scheduler::{Outcome, RejectReason};
 
 /// Aggregated time and bytes of one `(operator, phase)` pair across every
 /// completed query of a run — the paper's Fig 11 phase breakdown, lifted
@@ -35,7 +38,7 @@ pub struct PhaseRollup {
 /// Derives `PartialEq` so chaos tests can assert byte-identical replay:
 /// the same queries plus the same [`triton_hw::FaultPlan`] seed must
 /// reproduce this struct exactly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SchedulerMetrics {
     /// Queries that ran to completion.
     pub completed: u64,
@@ -95,11 +98,14 @@ pub struct SchedulerMetrics {
     /// Fault events that struck the run (kernel faults landing on a
     /// victim plus capacity revocation rounds).
     pub faults_injected: u64,
-    /// Transient-fault retries across all queries.
+    /// Transient-fault retries, summed over terminal outcomes: each
+    /// completed query's [`crate::FaultOutcome`] plus the retries a
+    /// `Faulted` shed consumed. Unlike the `sched.retries` event counter
+    /// this leaves out attempts of queries later shed for another reason.
     pub retries: u64,
-    /// Degradation-ladder downgrades across all queries.
+    /// Degradation-ladder downgrades of completed queries.
     pub downgrades: u64,
-    /// Reservation revocations across all queries.
+    /// Reservation revocations survived by completed queries.
     pub revocations: u64,
     /// Mid-query grant revisions (shrink-in-place and grow) the
     /// scheduler issued against running queries.
@@ -116,26 +122,6 @@ pub struct SchedulerMetrics {
     /// Per-`(operator, phase)` time/byte rollups over completed queries,
     /// sorted by operator then phase (deterministic order).
     pub phases: Vec<PhaseRollup>,
-}
-
-/// Non-outcome counters a run hands to [`SchedulerMetrics::from_run`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RunTotals {
-    pub makespan: Ns,
-    pub peak_gpu_reserved: Bytes,
-    pub gpu_capacity: Bytes,
-    pub gpu_retired: Bytes,
-    pub peak_concurrency: usize,
-    pub mean_concurrency: f64,
-    pub build_cache_hits: u64,
-    pub build_cache_prefix_hits: u64,
-    pub build_cache_misses: u64,
-    pub builds_quarantined: u64,
-    pub faults_injected: u64,
-    pub grant_revisions: u64,
-    pub grant_reclaimed: Bytes,
-    pub cost_cache_hits: u64,
-    pub cost_cache_misses: u64,
 }
 
 /// `p`-th percentile (0..=100) of an unsorted sample, by the
@@ -162,96 +148,6 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 }
 
 impl SchedulerMetrics {
-    /// Assemble from a finished run's outcomes, counters, and the phase
-    /// rollups accumulated by the run's [`crate::observe::Recorder`].
-    pub(crate) fn from_run(
-        outcomes: &[Outcome],
-        totals: RunTotals,
-        phases: Vec<PhaseRollup>,
-    ) -> Self {
-        // Latencies stream through a bounded log2 histogram instead of a
-        // per-query vector: under sustained load the scheduler's memory
-        // for latency accounting no longer grows with completions.
-        let mut latency_hist = Log2Histogram::new();
-        let mut latency_max = 0.0f64;
-        let mut tuples = 0u64;
-        let (mut completed, mut rejected) = (0u64, 0u64);
-        let (mut shed_deadline, mut shed_queue_full) = (0u64, 0u64);
-        let (mut shed_capacity, mut shed_faulted) = (0u64, 0u64);
-        let (mut retries, mut downgrades, mut revocations) = (0u64, 0u64, 0u64);
-        let (mut cache_hit_bytes, mut cache_spilled_bytes) = (0u64, 0u64);
-        for o in outcomes {
-            match o {
-                Outcome::Completed(c) => {
-                    completed += 1;
-                    tuples += c.report.tuples_actual;
-                    latency_hist.record(sim_ns(c.latency().0));
-                    latency_max = latency_max.max(c.latency().0);
-                    if let Some(p) = &c.report.placement {
-                        cache_hit_bytes += p.cache_hit_bytes;
-                        cache_spilled_bytes += p.spilled_bytes;
-                    }
-                    retries += u64::from(c.fault.retries);
-                    downgrades += u64::from(c.fault.downgrades);
-                    revocations += u64::from(c.fault.revocations);
-                }
-                Outcome::Rejected { reason, .. } => {
-                    rejected += 1;
-                    match reason {
-                        RejectReason::DeadlineExceeded { .. } => shed_deadline += 1,
-                        RejectReason::QueueFull { .. } => shed_queue_full += 1,
-                        RejectReason::OverCapacity { .. } | RejectReason::Oom(_) => {
-                            shed_capacity += 1
-                        }
-                        RejectReason::Faulted { retries: r, .. } => {
-                            shed_faulted += 1;
-                            retries += u64::from(*r);
-                        }
-                    }
-                }
-            }
-        }
-        let throughput_gtps = if totals.makespan.0 > 0.0 {
-            tuples as f64 / totals.makespan.as_secs() / 1e9
-        } else {
-            0.0
-        };
-        SchedulerMetrics {
-            completed,
-            rejected,
-            shed_deadline,
-            shed_queue_full,
-            shed_capacity,
-            shed_faulted,
-            makespan: totals.makespan,
-            tuples,
-            throughput_gtps,
-            latency_p50: Ns(latency_hist.value_at_percentile(50) as f64),
-            latency_p99: Ns(latency_hist.value_at_percentile(99) as f64),
-            latency_max: Ns(latency_max),
-            peak_gpu_reserved: totals.peak_gpu_reserved,
-            gpu_capacity: totals.gpu_capacity,
-            gpu_retired: totals.gpu_retired,
-            peak_concurrency: totals.peak_concurrency,
-            mean_concurrency: totals.mean_concurrency,
-            cache_hit_bytes: Bytes(cache_hit_bytes),
-            cache_spilled_bytes: Bytes(cache_spilled_bytes),
-            build_cache_hits: totals.build_cache_hits,
-            build_cache_prefix_hits: totals.build_cache_prefix_hits,
-            build_cache_misses: totals.build_cache_misses,
-            builds_quarantined: totals.builds_quarantined,
-            faults_injected: totals.faults_injected,
-            retries,
-            downgrades,
-            revocations,
-            grant_revisions: totals.grant_revisions,
-            grant_reclaimed: totals.grant_reclaimed,
-            cost_cache_hits: totals.cost_cache_hits,
-            cost_cache_misses: totals.cost_cache_misses,
-            phases,
-        }
-    }
-
     /// One-line human-readable summary.
     #[must_use]
     pub fn summary(&self) -> String {
@@ -375,6 +271,7 @@ impl SchedulerMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triton_metrics::{sim_ns, Log2Histogram};
 
     #[test]
     fn percentile_nearest_rank() {
@@ -457,7 +354,7 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_wellformed() {
-        let m = SchedulerMetrics::from_run(&[], RunTotals::default(), Vec::new());
+        let m = SchedulerMetrics::default();
         let a = m.to_json();
         let b = m.clone().to_json();
         assert_eq!(a, b);
@@ -479,7 +376,10 @@ mod tests {
             time: Ns(1.5),
             bytes: Bytes(4096),
         }];
-        let m = SchedulerMetrics::from_run(&[], RunTotals::default(), phases);
+        let m = SchedulerMetrics {
+            phases,
+            ..SchedulerMetrics::default()
+        };
         let j = m.to_json();
         assert!(j.contains(
             "\"phases\":[{\"op\":\"triton\",\"phase\":\"ps_1\",\"count\":3,\"time_ns\":1.5,\"bytes\":4096}]"

@@ -2,6 +2,11 @@
 //! scheduler-wide fault track, phase rollups, and a bounded flight
 //! recorder dumped automatically on faults and ladder steps.
 //!
+//! The recorder is also the run's only counter: [`Recorder::finish`]
+//! reads [`SchedulerMetrics`] off the same registry series, rollups, and
+//! SLO ledgers the events fed, so the totals and their breakdowns cannot
+//! drift apart.
+//!
 //! # Track layout
 //!
 //! Chrome `trace_event` organises spans into *processes* and *threads*;
@@ -29,10 +34,11 @@ use triton_core::{phase_bytes, phase_key, phase_progress, record_overlap, record
 use triton_hw::units::{Bytes, Ns};
 use triton_hw::HwConfig;
 use triton_metrics::{sim_ns, MetricsRegistry};
-use triton_trace::{Attr, FlightRecorder, Trace, TraceEvent};
+use triton_trace::{Attr, FlightRecorder, Trace};
 
+use crate::build_cache::BuildHit;
 use crate::cost_cache::Pricing;
-use crate::metrics::PhaseRollup;
+use crate::metrics::{PhaseRollup, SchedulerMetrics};
 use crate::query::{JoinQuery, QueryId};
 use crate::scheduler::{CompletedQuery, RejectReason};
 use crate::slo::{tenant_of, SloAccount};
@@ -107,9 +113,10 @@ pub struct GaugeSample {
 }
 
 /// Collects one serving run's trace, flight-recorder ring, phase
-/// rollups, time-series registry, and per-tenant SLO accounts. The
-/// scheduler drives it at every lifecycle transition; it never
-/// influences scheduling decisions (pure observation).
+/// rollups, time-series registry, per-tenant SLO accounts, and the
+/// aggregate totals no registry series carries. The scheduler drives it
+/// at every lifecycle transition; it never influences scheduling
+/// decisions (pure observation).
 #[derive(Debug)]
 pub struct Recorder {
     trace: Trace,
@@ -121,12 +128,30 @@ pub struct Recorder {
     registry: MetricsRegistry,
     /// Per-tenant SLO accounts, keyed by tenant label.
     slo: BTreeMap<String, SloAccount>,
-    /// Per-query `(tenant, deadline_ns)` captured at enqueue so terminal
-    /// events can settle the SLO without re-threading the query.
-    meta: BTreeMap<QueryId, (String, Option<f64>)>,
     /// Latest gauge snapshot as trace attributes, stamped onto every
     /// flight-recorder dump marker.
     gauge_ctx: Vec<Attr>,
+    totals: Totals,
+}
+
+/// Run totals outside the registry (see [`SchedulerMetrics`]): exact
+/// worst latency, placement bytes, terminal fault costs, ECC losses,
+/// shrink reclaims, and the concurrency integrals.
+#[derive(Debug, Default)]
+struct Totals {
+    latency_max: f64,
+    cache_hit_bytes: u64,
+    cache_spilled_bytes: u64,
+    retries: u64,
+    downgrades: u64,
+    revocations: u64,
+    gpu_retired: Bytes,
+    builds_quarantined: u64,
+    grant_reclaimed: Bytes,
+    /// Integral of `(running > 0) dt`.
+    busy_time: f64,
+    /// Integral of `running dt`.
+    weighted_conc: f64,
 }
 
 impl Recorder {
@@ -144,8 +169,8 @@ impl Recorder {
             rollup: BTreeMap::new(),
             registry: MetricsRegistry::new(METRICS_WINDOW_NS),
             slo: BTreeMap::new(),
-            meta: BTreeMap::new(),
             gauge_ctx: Vec::new(),
+            totals: Totals::default(),
         }
     }
 
@@ -179,11 +204,10 @@ impl Recorder {
             attrs.push(Attr::f64("deadline_ns", d.0));
         }
         self.lifecycle(id, "enqueue", ts, attrs);
-        let tenant = tenant_of(&q.name).to_string();
+        let tenant = tenant_of(&q.name);
         self.registry
             .counter_inc(&format!("tenant.{tenant}.enqueued"), sim_ns(ts.0));
         self.registry.counter_inc("sched.enqueued", sim_ns(ts.0));
-        self.meta.insert(id, (tenant, q.deadline.map(|d| d.0)));
     }
 
     /// A query was admitted: memory reserved, operator chosen, running.
@@ -241,6 +265,7 @@ impl Recorder {
     pub fn revise(
         &mut self,
         id: QueryId,
+        q: &JoinQuery,
         ts: Ns,
         kind: &'static str,
         delta: Bytes,
@@ -264,9 +289,10 @@ impl Recorder {
             .counter_inc("sched.grant_revisions", sim_ns(ts.0));
         self.registry
             .counter_inc(&format!("sched.grant_revisions.{kind}"), sim_ns(ts.0));
-        if let Some((tenant, _)) = self.meta.get(&id).cloned() {
-            self.slo_entry(&tenant).grant_revisions += 1;
+        if kind == "shrink" {
+            self.totals.grant_reclaimed += delta;
         }
+        self.slo_entry(tenant_of(&q.name)).grant_revisions += 1;
         self.dump("grant-revision", ts);
     }
 
@@ -294,9 +320,10 @@ impl Recorder {
         self.dump("downgrade", ts);
     }
 
-    /// A query was refused with a typed reason. A shed of a
+    /// A query was refused with a typed reason — including a bounce off
+    /// the full queue, which never reached [`Self::enqueue`]. A shed of a
     /// deadline-holding query settles its tenant's SLO as a violation.
-    pub fn shed(&mut self, id: QueryId, ts: Ns, reason: &RejectReason) {
+    pub fn shed(&mut self, id: QueryId, q: &JoinQuery, ts: Ns, reason: &RejectReason) {
         let kind = reject_kind(reason);
         self.lifecycle(
             id,
@@ -310,14 +337,16 @@ impl Recorder {
         self.registry.counter_inc("sched.shed", sim_ns(ts.0));
         self.registry
             .counter_inc(&format!("sched.shed.{kind}"), sim_ns(ts.0));
-        if let Some((tenant, deadline)) = self.meta.remove(&id) {
-            self.registry
-                .counter_inc(&format!("tenant.{tenant}.shed"), sim_ns(ts.0));
-            let account = self.slo_entry(&tenant);
-            account.shed += 1;
-            if deadline.is_some() {
-                account.slo_total += 1;
-            }
+        if let RejectReason::Faulted { retries, .. } = reason {
+            self.totals.retries += u64::from(*retries);
+        }
+        let tenant = tenant_of(&q.name);
+        self.registry
+            .counter_inc(&format!("tenant.{tenant}.shed"), sim_ns(ts.0));
+        let account = self.slo_entry(tenant);
+        account.shed += 1;
+        if q.deadline.is_some() {
+            account.slo_total += 1;
         }
     }
 
@@ -342,11 +371,11 @@ impl Recorder {
     /// Registry counters only, recorded identically in every scheduler
     /// configuration (build sharing is independent of the cost-cache
     /// knob).
-    pub fn build_cache(&mut self, hit: crate::build_cache::BuildHit, ts: Ns) {
+    pub fn build_cache(&mut self, hit: BuildHit, ts: Ns) {
         let name = match hit {
-            crate::build_cache::BuildHit::Exact => "sched.build_cache.exact_hit",
-            crate::build_cache::BuildHit::Prefix => "sched.build_cache.prefix_hit",
-            crate::build_cache::BuildHit::Miss => "sched.build_cache.miss",
+            BuildHit::Exact => "sched.build_cache.exact_hit",
+            BuildHit::Prefix => "sched.build_cache.prefix_hit",
+            BuildHit::Miss => "sched.build_cache.miss",
         };
         self.registry.counter_inc(name, sim_ns(ts.0));
     }
@@ -364,6 +393,30 @@ impl Recorder {
         self.registry
             .counter_inc(&format!("sched.faults.{kind}"), sim_ns(ts.0));
         self.dump(kind, ts);
+    }
+
+    /// An ECC retirement took `retired` bytes of GPU memory and tripped
+    /// the build-cache breaker on `quarantined` resident builds.
+    pub fn ecc_retirement(&mut self, ts: Ns, retired: Bytes, quarantined: u64) {
+        self.totals.gpu_retired += retired;
+        self.totals.builds_quarantined += quarantined;
+        self.fault(
+            "ecc-retirement",
+            ts,
+            vec![
+                Attr::u64("retired_bytes", retired.0),
+                Attr::u64("builds_quarantined", quarantined),
+            ],
+        );
+    }
+
+    /// The fluid state advanced `dt` with `running` queries in flight:
+    /// accumulates the integrals behind the mean concurrency.
+    pub fn advance(&mut self, dt: f64, running: usize) {
+        if running > 0 {
+            self.totals.busy_time += dt;
+            self.totals.weighted_conc += dt * running as f64;
+        }
     }
 
     /// Dump the flight ring onto the scheduler's flight track, stamping
@@ -443,8 +496,8 @@ impl Recorder {
     /// the rollup. For every query the rollup contributions sum to
     /// `latency()` within one simulated nanosecond: `queue` covers
     /// `[arrival, start]` and the stretched phases cover exactly
-    /// `[start, finish]`.
-    pub fn complete(&mut self, c: &CompletedQuery, hw: &HwConfig) {
+    /// `[start, finish]`. `deadline` is the query's latency objective.
+    pub fn complete(&mut self, c: &CompletedQuery, deadline: Option<Ns>, hw: &HwConfig) {
         let pid = query_pid(c.id);
         let queue_wait = (c.start - c.arrival).0.max(0.0);
         self.trace
@@ -516,8 +569,14 @@ impl Recorder {
             attrs.push(Attr::u64("cache_hit_bytes", p.cache_hit_bytes));
             attrs.push(Attr::u64("cache_spilled_bytes", p.spilled_bytes));
             attrs.push(Attr::u64("pairs_cached", p.pairs_cached()));
+            self.totals.cache_hit_bytes += p.cache_hit_bytes;
+            self.totals.cache_spilled_bytes += p.spilled_bytes;
         }
         self.lifecycle(c.id, "complete", c.finish, attrs);
+        self.totals.latency_max = self.totals.latency_max.max(c.latency().0);
+        self.totals.retries += u64::from(c.fault.retries);
+        self.totals.downgrades += u64::from(c.fault.downgrades);
+        self.totals.revocations += u64::from(c.fault.revocations);
 
         // Registry counters/histograms and SLO settlement. All values
         // cross the float boundary once, through `sim_ns`.
@@ -538,17 +597,16 @@ impl Recorder {
             self.registry
                 .counter_add(&format!("phase.{op}.{key}.bytes"), bytes, t);
         }
-        if let Some((tenant, deadline)) = self.meta.remove(&c.id) {
-            self.registry
-                .counter_inc(&format!("tenant.{tenant}.completed"), t);
-            let account = self.slo_entry(&tenant);
-            account.completed += 1;
-            account.latency.record(latency_ns);
-            if let Some(d) = deadline {
-                account.slo_total += 1;
-                if c.latency().0 <= d {
-                    account.slo_met += 1;
-                }
+        let tenant = tenant_of(&c.name);
+        self.registry
+            .counter_inc(&format!("tenant.{tenant}.completed"), t);
+        let account = self.slo_entry(tenant);
+        account.completed += 1;
+        account.latency.record(latency_ns);
+        if let Some(d) = deadline {
+            account.slo_total += 1;
+            if c.latency().0 <= d.0 {
+                account.slo_met += 1;
             }
         }
     }
@@ -563,51 +621,78 @@ impl Recorder {
         cell.2 += bytes;
     }
 
-    /// The accumulated phase rollups, sorted by `(operator, phase)`.
-    #[must_use]
-    pub fn rollups(&self) -> Vec<PhaseRollup> {
-        self.rollup
-            .iter()
-            .map(|((op, phase), &(count, time_ns, bytes))| PhaseRollup {
-                operator: op.clone(),
-                phase: phase.clone(),
-                count,
-                time: Ns(time_ns),
-                bytes: Bytes(bytes),
-            })
-            .collect()
-    }
-
-    /// Events currently buffered in the flight ring (most recent last).
-    #[must_use]
-    pub fn flight_snapshot(&self) -> Vec<TraceEvent> {
-        self.flight.snapshot()
-    }
-
-    /// The run's time-series registry so far.
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// The per-tenant SLO accounts so far, sorted by tenant label.
-    #[must_use]
-    pub fn slo_accounts(&self) -> Vec<SloAccount> {
-        self.slo.values().cloned().collect()
-    }
-
-    /// Finish the run and take the trace.
-    #[must_use]
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-
     /// Finish the run and take every artifact: the trace, the
-    /// time-series registry, and the per-tenant SLO accounts.
+    /// time-series registry, the per-tenant SLO accounts (sorted by
+    /// tenant), and the [`SchedulerMetrics`] read off them. The caller
+    /// hands over only what no event carries: the makespan and the
+    /// allocator's high-water mark and initial capacity (admission's
+    /// transient reservations never reach a gauge sample).
     #[must_use]
-    pub fn into_parts(self) -> (Trace, MetricsRegistry, Vec<SloAccount>) {
+    pub fn finish(
+        self,
+        makespan: Ns,
+        peak_gpu_reserved: Bytes,
+        gpu_capacity: Bytes,
+    ) -> (Trace, MetricsRegistry, Vec<SloAccount>, SchedulerMetrics) {
+        let (reg, t) = (&self.registry, self.totals);
+        let tuples = reg.counter("sched.tuples");
+        let latency = reg.histogram("sched.latency_ns");
+        let latency_at = |p| Ns(latency.map_or(0, |h| h.value_at_percentile(p)) as f64);
+        let build_cache_prefix_hits = reg.counter("sched.build_cache.prefix_hit");
+        let metrics = SchedulerMetrics {
+            completed: reg.counter("sched.completed"),
+            rejected: reg.counter("sched.shed"),
+            shed_deadline: reg.counter("sched.shed.deadline"),
+            shed_queue_full: reg.counter("sched.shed.queue-full"),
+            shed_capacity: reg.counter("sched.shed.over-capacity") + reg.counter("sched.shed.oom"),
+            shed_faulted: reg.counter("sched.shed.faulted"),
+            makespan,
+            tuples,
+            throughput_gtps: if makespan.0 > 0.0 {
+                tuples as f64 / makespan.as_secs() / 1e9
+            } else {
+                0.0
+            },
+            latency_p50: latency_at(50),
+            latency_p99: latency_at(99),
+            latency_max: Ns(t.latency_max),
+            peak_gpu_reserved,
+            gpu_capacity,
+            gpu_retired: t.gpu_retired,
+            peak_concurrency: reg.gauge("sched.running").map_or(0, |g| g.max) as usize,
+            mean_concurrency: if t.busy_time > 0.0 {
+                t.weighted_conc / t.busy_time
+            } else {
+                0.0
+            },
+            cache_hit_bytes: Bytes(t.cache_hit_bytes),
+            cache_spilled_bytes: Bytes(t.cache_spilled_bytes),
+            build_cache_hits: reg.counter("sched.build_cache.exact_hit") + build_cache_prefix_hits,
+            build_cache_prefix_hits,
+            build_cache_misses: reg.counter("sched.build_cache.miss"),
+            builds_quarantined: t.builds_quarantined,
+            faults_injected: reg.counter("sched.faults"),
+            retries: t.retries,
+            downgrades: t.downgrades,
+            revocations: t.revocations,
+            grant_revisions: reg.counter("sched.grant_revisions"),
+            grant_reclaimed: t.grant_reclaimed,
+            cost_cache_hits: reg.counter("sched.cost_cache.hit"),
+            cost_cache_misses: reg.counter("sched.cost_cache.miss"),
+            phases: self
+                .rollup
+                .into_iter()
+                .map(|((operator, phase), (count, time_ns, bytes))| PhaseRollup {
+                    operator,
+                    phase,
+                    count,
+                    time: Ns(time_ns),
+                    bytes: Bytes(bytes),
+                })
+                .collect(),
+        };
         let slo = self.slo.into_values().collect();
-        (self.trace, self.registry, slo)
+        (self.trace, self.registry, slo, metrics)
     }
 }
 
@@ -615,15 +700,22 @@ impl Recorder {
 mod tests {
     use super::*;
 
+    fn query(name: &str) -> JoinQuery {
+        JoinQuery::new(
+            name,
+            triton_datagen::WorkloadSpec::paper_default(2, 256).generate(),
+            Ns::ZERO,
+        )
+    }
+
+    fn finish(obs: Recorder) -> (Trace, MetricsRegistry, Vec<SloAccount>, SchedulerMetrics) {
+        obs.finish(Ns::ZERO, Bytes(0), Bytes(0))
+    }
+
     #[test]
     fn fault_dumps_the_preceding_lifecycle() {
         let mut obs = Recorder::new(8);
-        let q = JoinQuery::new(
-            "t",
-            triton_datagen::WorkloadSpec::paper_default(2, 256).generate(),
-            Ns::ZERO,
-        );
-        obs.enqueue(QueryId(0), &q, Ns(0.0));
+        obs.enqueue(QueryId(0), &query("t"), Ns(0.0));
         obs.admit(
             QueryId(0),
             Ns(5.0),
@@ -634,7 +726,7 @@ mod tests {
             0,
         );
         obs.fault("kernel-fault", Ns(9.0), vec![Attr::str("victim", "q0")]);
-        let trace = obs.into_trace();
+        let (trace, ..) = finish(obs);
         // The dump replays enqueue + admit + the fault itself onto the
         // scheduler's flight track, after a flight.dump marker.
         let flight: Vec<_> = trace
@@ -662,7 +754,8 @@ mod tests {
         // Identical snapshot: gauges unchanged, no new counter lanes.
         obs.sample_gauges(Ns(20.0), &s);
         obs.fault("kernel-fault", Ns(30.0), Vec::new());
-        let trace = obs.into_trace();
+        let (trace, _, _, metrics) = finish(obs);
+        assert_eq!(metrics.peak_concurrency, 1, "read off the running gauge");
         let lanes: Vec<_> = trace
             .events()
             .iter()
@@ -687,22 +780,42 @@ mod tests {
     #[test]
     fn terminal_events_settle_tenant_slo() {
         let mut obs = Recorder::new(8);
-        let mut q = JoinQuery::new(
-            "dash-0",
-            triton_datagen::WorkloadSpec::paper_default(2, 256).generate(),
-            Ns::ZERO,
-        );
+        let mut q = query("dash-0");
         q.deadline = Some(Ns(100.0));
         obs.enqueue(QueryId(0), &q, Ns(0.0));
-        obs.shed(QueryId(0), Ns(5.0), &RejectReason::QueueFull { limit: 1 });
-        let accounts = obs.slo_accounts();
+        obs.shed(
+            QueryId(0),
+            &q,
+            Ns(5.0),
+            &RejectReason::DeadlineExceeded {
+                deadline: Ns(100.0),
+                waited: Ns(5.0),
+            },
+        );
+        // A bounce off the full queue never enqueued, and still settles.
+        obs.shed(
+            QueryId(1),
+            &q,
+            Ns(5.0),
+            &RejectReason::QueueFull { limit: 1 },
+        );
+        let (_, registry, accounts, metrics) = finish(obs);
         assert_eq!(accounts.len(), 1);
         assert_eq!(accounts[0].tenant, "dash");
-        assert_eq!(accounts[0].shed, 1);
-        assert_eq!(accounts[0].slo_total, 1, "shed deadline holder violates");
+        assert_eq!(accounts[0].shed, 2);
+        assert_eq!(accounts[0].slo_total, 2, "shed deadline holders violate");
         assert_eq!(accounts[0].slo_met, 0);
-        assert_eq!(obs.registry().counter("sched.shed.queue-full"), 1);
-        assert_eq!(obs.registry().counter("tenant.dash.enqueued"), 1);
+        assert_eq!(registry.counter("sched.shed.queue-full"), 1);
+        assert_eq!(registry.counter("tenant.dash.enqueued"), 1);
+        assert_eq!(registry.counter("tenant.dash.shed"), 2);
+        assert_eq!(
+            (
+                metrics.rejected,
+                metrics.shed_deadline,
+                metrics.shed_queue_full
+            ),
+            (2, 1, 1)
+        );
     }
 
     #[test]
@@ -711,11 +824,20 @@ mod tests {
         obs.add_rollup("triton", "queue", 5.0, 0);
         obs.add_rollup("cpu-radix", "join", 2.0, 7);
         obs.add_rollup("triton", "queue", 3.0, 0);
-        let r = obs.rollups();
+        let r = finish(obs).3.phases;
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].operator, "cpu-radix");
         assert_eq!(r[1].phase, "queue");
         assert_eq!(r[1].count, 2);
         assert_eq!(r[1].time, Ns(8.0));
+    }
+
+    #[test]
+    fn concurrency_integrals_skip_idle_time() {
+        let mut obs = Recorder::new(4);
+        obs.advance(10.0, 2);
+        obs.advance(5.0, 0);
+        obs.advance(10.0, 4);
+        assert_eq!(finish(obs).3.mean_concurrency, 3.0);
     }
 }

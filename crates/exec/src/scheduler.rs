@@ -61,7 +61,7 @@ use crate::build_cache::{BuildCache, FULL_RANGE};
 use crate::cost_cache::CostCache;
 use crate::demand::ResourceDemand;
 use crate::fault::{degraded_vector, FaultCause, FaultOutcome};
-use crate::metrics::{RunTotals, SchedulerMetrics};
+use crate::metrics::SchedulerMetrics;
 use crate::observe::{GaugeSample, Recorder};
 use crate::query::{JoinQuery, QueryId};
 use crate::resilience::downgrade_operator;
@@ -358,6 +358,20 @@ fn enqueue(queue: &mut VecDeque<Queued>, q: Queued) {
     queue.insert(pos, q);
 }
 
+/// Settle a refused query: record the typed shed and push its outcome.
+fn reject(
+    obs: &mut Recorder,
+    outcomes: &mut Vec<(QueryId, Outcome)>,
+    id: QueryId,
+    query: &JoinQuery,
+    clock: Ns,
+    reason: RejectReason,
+) {
+    obs.shed(id, query, clock, &reason);
+    let name = query.name.clone();
+    outcomes.push((id, Outcome::Rejected { id, name, reason }));
+}
+
 /// Revocation victim: the lowest-priority reservation holder, breaking
 /// ties toward the most recently submitted query (highest id) so the
 /// oldest work survives capacity loss.
@@ -409,11 +423,6 @@ impl Scheduler {
         let mut next_retire = 0usize;
         let mut next_kfault = 0usize;
         let mut next_transition = 0usize;
-        let mut faults_injected = 0u64;
-        let mut builds_quarantined = 0u64;
-        let mut gpu_retired = Bytes(0);
-        let mut grant_revisions = 0u64;
-        let mut grant_reclaimed = Bytes(0);
 
         let mut obs = Recorder::new(self.config.flight_capacity);
         let mut admission = AdmissionController::new(&self.hw);
@@ -424,36 +433,23 @@ impl Scheduler {
         let mut outcomes: Vec<(QueryId, Outcome)> = Vec::new();
         let mut clock = Ns::ZERO;
         let mut arrivals: VecDeque<(QueryId, JoinQuery)> = arrivals.into();
-        let mut peak_concurrency = 0usize;
-        let mut busy_time = 0.0f64; // integral of (running > 0) dt
-        let mut weighted_conc = 0.0f64; // integral of |running| dt
 
         loop {
             // --- Fault events due at this instant.
             while next_retire < retirements.len() && retirements[next_retire].0 .0 <= clock.0 {
                 let (_, bytes) = retirements[next_retire];
                 next_retire += 1;
-                faults_injected += 1;
                 let before = admission.capacity();
                 admission.retire(bytes);
                 let retired_now = before.saturating_sub(admission.capacity());
-                gpu_retired += retired_now;
                 // The retired pages tear resident partitioned builds:
                 // trip the circuit breaker so followers rebuild instead
                 // of sharing stale state. Memoized pricings go with them
                 // (the capacity change alters future grants; a wholesale
                 // flush keeps the invalidation story uniform).
                 let quarantined = cache.quarantine_all() as u64;
-                builds_quarantined += quarantined;
                 costs.flush();
-                obs.fault(
-                    "ecc-retirement",
-                    clock,
-                    vec![
-                        Attr::u64("retired_bytes", retired_now.0),
-                        Attr::u64("builds_quarantined", quarantined),
-                    ],
-                );
+                obs.ecc_retirement(clock, retired_now, quarantined);
                 // Shrink-in-place rungs: before revoking anyone, reclaim
                 // running queries' optional cache shares — each a priced,
                 // traced revision — until the shrunk device fits its
@@ -467,8 +463,6 @@ impl Scheduler {
                         &mut admission,
                         &mut costs,
                         &mut obs,
-                        &mut grant_revisions,
-                        &mut grant_reclaimed,
                     );
                 }
                 // Revoke reservations until the shrunk device fits them.
@@ -504,7 +498,6 @@ impl Scheduler {
                     continue;
                 }
                 ids.sort_unstable();
-                faults_injected += 1;
                 let pick =
                     ids[(splitmix64(plan.seed ^ 0xC0DE ^ strike) % ids.len() as u64) as usize];
                 let Some(vi) = running.iter().position(|r| r.id == pick) else {
@@ -538,10 +531,7 @@ impl Scheduler {
                 &mut costs,
                 &mut outcomes,
                 &mut obs,
-                &mut grant_revisions,
-                &mut grant_reclaimed,
             );
-            peak_concurrency = peak_concurrency.max(running.len());
 
             let next_arrival_at = arrivals.front().map(|(_, q)| q.arrival.0);
             if running.is_empty() && next_arrival_at.is_none() {
@@ -563,15 +553,7 @@ impl Scheduler {
                         needed: floor,
                         capacity: admission.capacity(),
                     };
-                    obs.shed(q.id, clock, &reason);
-                    outcomes.push((
-                        q.id,
-                        Outcome::Rejected {
-                            id: q.id,
-                            name: q.query.name.clone(),
-                            reason,
-                        },
-                    ));
+                    reject(&mut obs, &mut outcomes, q.id, &q.query, clock, reason);
                 }
                 break;
             }
@@ -648,10 +630,7 @@ impl Scheduler {
             }
 
             // --- Advance the fluid state.
-            if !running.is_empty() {
-                busy_time += dt;
-                weighted_conc += dt * running.len() as f64;
-            }
+            obs.advance(dt, running.len());
             clock += Ns(dt);
             for (r, &s) in running.iter_mut().zip(&rates) {
                 r.remaining = (r.remaining - dt * s).max(0.0);
@@ -671,15 +650,7 @@ impl Scheduler {
                     let reason = RejectReason::QueueFull {
                         limit: self.config.max_queue,
                     };
-                    obs.shed(id, clock, &reason);
-                    outcomes.push((
-                        id,
-                        Outcome::Rejected {
-                            id,
-                            name: query.name.clone(),
-                            reason,
-                        },
-                    ));
+                    reject(&mut obs, &mut outcomes, id, &query, clock, reason);
                     continue;
                 }
                 obs.enqueue(id, &query, query.arrival);
@@ -718,7 +689,7 @@ impl Scheduler {
                         operator: r.op_label,
                         fault: r.fault,
                     };
-                    obs.complete(&c, &self.hw);
+                    obs.complete(&c, r.query.deadline, &self.hw);
                     outcomes.push((c.id, Outcome::Completed(Box::new(c))));
                 } else {
                     i += 1;
@@ -728,32 +699,8 @@ impl Scheduler {
 
         outcomes.sort_by_key(|(id, _)| *id);
         let outcomes: Vec<Outcome> = outcomes.into_iter().map(|(_, o)| o).collect();
-        let metrics = SchedulerMetrics::from_run(
-            &outcomes,
-            RunTotals {
-                makespan: clock,
-                peak_gpu_reserved: admission.peak_reserved,
-                gpu_capacity: admission.initial_capacity(),
-                gpu_retired,
-                peak_concurrency,
-                mean_concurrency: if busy_time > 0.0 {
-                    weighted_conc / busy_time
-                } else {
-                    0.0
-                },
-                build_cache_hits: cache.hits,
-                build_cache_prefix_hits: cache.prefix_hits,
-                build_cache_misses: cache.misses,
-                builds_quarantined,
-                faults_injected,
-                grant_revisions,
-                grant_reclaimed,
-                cost_cache_hits: costs.hits,
-                cost_cache_misses: costs.misses,
-            },
-            obs.rollups(),
-        );
-        let (trace, telemetry, slo) = obs.into_parts();
+        let (trace, telemetry, slo, metrics) =
+            obs.finish(clock, admission.peak_reserved, admission.initial_capacity());
         ServeResult {
             outcomes,
             metrics,
@@ -802,15 +749,7 @@ impl Scheduler {
                 fault: cause.label().to_string(),
                 retries: fault.retries,
             };
-            obs.shed(victim.id, clock, &reason);
-            outcomes.push((
-                victim.id,
-                Outcome::Rejected {
-                    id: victim.id,
-                    name: query.name.clone(),
-                    reason,
-                },
-            ));
+            reject(obs, outcomes, victim.id, &query, clock, reason);
             return;
         }
         let retry = &self.config.resilience.retry;
@@ -880,7 +819,6 @@ impl Scheduler {
     /// traced as a `grant-revision` event, and re-prices the victim's
     /// remaining work under its revised grant; the victim's *answer*
     /// cannot change (a cache budget only moves placement and time).
-    /// Returns the total bytes reclaimed.
     #[allow(clippy::too_many_arguments)]
     fn reclaim_cache(
         &self,
@@ -891,11 +829,8 @@ impl Scheduler {
         admission: &mut AdmissionController,
         costs: &mut CostCache,
         obs: &mut Recorder,
-        grant_revisions: &mut u64,
-        grant_reclaimed: &mut Bytes,
-    ) -> Bytes {
+    ) {
         let max_rev = self.config.resilience.elastic.max_revisions;
-        let mut reclaimed = Bytes(0);
         loop {
             let missing = need(admission);
             if missing.0 == 0 {
@@ -929,9 +864,6 @@ impl Scheduler {
             };
             r.revisions += 1;
             r.reservation = out.grant;
-            *grant_revisions += 1;
-            *grant_reclaimed += out.delta;
-            reclaimed += out.delta;
             // Re-price the rest of the query under the revised grant:
             // same workload, same operator, smaller cache — placement
             // and timing change, the answer cannot. Re-pricings go
@@ -961,6 +893,7 @@ impl Scheduler {
             }
             obs.revise(
                 r.id,
+                &r.query,
                 clock,
                 "shrink",
                 out.delta,
@@ -969,7 +902,6 @@ impl Scheduler {
                 reason,
             );
         }
-        reclaimed
     }
 
     /// Admit queued queries in priority order while memory, the
@@ -986,8 +918,6 @@ impl Scheduler {
         costs: &mut CostCache,
         outcomes: &mut Vec<(QueryId, Outcome)>,
         obs: &mut Recorder,
-        grant_revisions: &mut u64,
-        grant_reclaimed: &mut Bytes,
     ) {
         'admit: while running.len() < self.config.max_inflight {
             // Highest-priority eligible entry (sleepers excluded).
@@ -1002,15 +932,7 @@ impl Scheduler {
                 if waited.0 > deadline.0 {
                     let Some(q) = queue.remove(pos) else { continue };
                     let reason = RejectReason::DeadlineExceeded { deadline, waited };
-                    obs.shed(q.id, clock, &reason);
-                    outcomes.push((
-                        q.id,
-                        Outcome::Rejected {
-                            id: q.id,
-                            name: q.query.name.clone(),
-                            reason,
-                        },
-                    ));
+                    reject(obs, outcomes, q.id, &q.query, clock, reason);
                     continue;
                 }
             }
@@ -1044,15 +966,7 @@ impl Scheduler {
                     needed: floor,
                     capacity: admission.capacity(),
                 };
-                obs.shed(q.id, clock, &reason);
-                outcomes.push((
-                    q.id,
-                    Outcome::Rejected {
-                        id: q.id,
-                        name: q.query.name.clone(),
-                        reason,
-                    },
-                ));
+                reject(obs, outcomes, q.id, &q.query, clock, reason);
                 continue 'admit;
             }
 
@@ -1084,8 +998,6 @@ impl Scheduler {
                             admission,
                             costs,
                             obs,
-                            grant_revisions,
-                            grant_reclaimed,
                         );
                         match admission.try_admit_shrunk(id, &queue[pos].query, &self.hw, shrink) {
                             Ok(r) => r,
@@ -1143,15 +1055,7 @@ impl Scheduler {
                         }
                     }
                     let reason = RejectReason::Oom(e);
-                    obs.shed(q.id, clock, &reason);
-                    outcomes.push((
-                        q.id,
-                        Outcome::Rejected {
-                            id: q.id,
-                            name: q.query.name.clone(),
-                            reason,
-                        },
-                    ));
+                    reject(obs, outcomes, q.id, &q.query, clock, reason);
                     continue;
                 }
             };

@@ -39,8 +39,10 @@ pub fn tenant_of(name: &str) -> &str {
 }
 
 /// One tenant's SLO account over a serving run (see module docs for the
-/// definitions). Built incrementally at scheduler decision points and
-/// threaded into [`crate::ServeResult`].
+/// definitions). The [`crate::Recorder`] settles it at every terminal
+/// event — a completion, or a shed for any reason, including a bounce
+/// off the full queue that never entered it — and hands it to
+/// [`crate::ServeResult`] from [`crate::Recorder::finish`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloAccount {
     /// Tenant label (query-name prefix).

@@ -162,6 +162,10 @@ fn over_capacity_submissions_shed_with_typed_errors() {
 
 #[test]
 fn queue_limit_applies_backpressure() {
+    let mut queries = tenants(5, 16);
+    for q in &mut queries {
+        q.deadline = Some(Ns(1e12));
+    }
     let res = Scheduler::new(
         hw(),
         SchedulerConfig {
@@ -170,7 +174,7 @@ fn queue_limit_applies_backpressure() {
             ..SchedulerConfig::default()
         },
     )
-    .run(tenants(5, 16));
+    .run(queries);
     let bounced = res
         .outcomes
         .iter()
@@ -186,6 +190,13 @@ fn queue_limit_applies_backpressure() {
         .count();
     assert!(bounced >= 1, "a 2-deep queue must bounce a 5-query burst");
     assert_eq!(res.metrics.completed + res.metrics.rejected, 5);
+    // A bounced deadline holder is an SLO violation like any other shed.
+    assert_eq!(res.slo.len(), 1);
+    let slo = &res.slo[0];
+    assert_eq!(slo.shed, bounced as u64);
+    assert_eq!(slo.slo_total, 5, "every deadline holder settles");
+    assert_eq!(slo.slo_met, res.metrics.completed);
+    assert_eq!(slo.attainment_ppm(), res.metrics.completed * 1_000_000 / 5);
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! End-to-end telemetry tests: the windowed time-series registry on
 //! [`triton_exec::ServeResult::telemetry`] must reconcile exactly with
 //! run totals — across shuffled submission orders, fault schedules, and
-//! grant-revision schedules — and its aggregate counters must agree
-//! with [`triton_exec::SchedulerMetrics`] and the per-tenant
-//! [`triton_exec::SloAccount`] ledgers.
+//! grant-revision schedules — and the [`triton_exec::SchedulerMetrics`]
+//! read off it must agree with the typed per-query outcomes and the
+//! per-tenant [`triton_exec::SloAccount`] ledgers.
 
 use triton_datagen::WorkloadSpec;
 use triton_exec::{
-    percentile, FaultPlan, JoinQuery, Log2Histogram, Scheduler, SchedulerConfig, ServeResult,
+    percentile, tenant_of, FaultPlan, JoinQuery, Log2Histogram, Outcome, RejectReason, Scheduler,
+    SchedulerConfig, ServeResult,
 };
 use triton_hw::units::{Bytes, Ns};
 use triton_hw::HwConfig;
@@ -50,14 +51,15 @@ fn shuffled(mut queries: Vec<JoinQuery>, seed: u64) -> Vec<JoinQuery> {
 
 /// Every invariant a served result's telemetry must satisfy, regardless
 /// of schedule shape: windowed rollups reconcile exactly with run
-/// totals, aggregate counters agree with the scheduler metrics, and the
-/// per-tenant SLO ledgers partition the terminal outcomes.
+/// totals, the metrics agree with the counters they are read from and
+/// with the typed outcomes, and the per-tenant SLO ledgers partition
+/// the terminal outcomes.
 fn assert_reconciled(res: &ServeResult) {
     res.telemetry
         .reconcile()
         .expect("window sums must equal run totals exactly");
 
-    // Telemetry counters agree with the scheduler's own accounting.
+    // The metrics are read off the telemetry counters.
     assert_eq!(
         res.telemetry.counter("sched.completed"),
         res.metrics.completed
@@ -73,13 +75,46 @@ fn assert_reconciled(res: &ServeResult) {
     );
     assert_eq!(res.telemetry.counter("sched.tuples"), res.metrics.tuples);
 
+    // Independently, they agree with the typed per-query outcomes.
+    let completed: Vec<_> = res.completed().collect();
+    let rejections: Vec<&RejectReason> =
+        res.outcomes.iter().filter_map(Outcome::rejection).collect();
+    let shed = |f: fn(&RejectReason) -> bool| rejections.iter().filter(|r| f(r)).count() as u64;
+    assert_eq!(res.metrics.completed, completed.len() as u64);
+    assert_eq!(res.metrics.rejected, rejections.len() as u64);
+    assert_eq!(
+        res.metrics.shed_deadline,
+        shed(|r| matches!(r, RejectReason::DeadlineExceeded { .. }))
+    );
+    assert_eq!(
+        res.metrics.shed_queue_full,
+        shed(|r| matches!(r, RejectReason::QueueFull { .. }))
+    );
+    assert_eq!(
+        res.metrics.shed_capacity,
+        shed(|r| matches!(r, RejectReason::OverCapacity { .. } | RejectReason::Oom(_)))
+    );
+    assert_eq!(
+        res.metrics.shed_faulted,
+        shed(|r| matches!(r, RejectReason::Faulted { .. }))
+    );
+    assert_eq!(
+        res.metrics.tuples,
+        completed
+            .iter()
+            .map(|c| c.report.tuples_actual)
+            .sum::<u64>()
+    );
+    let worst = completed.iter().map(|c| c.latency().0).fold(0.0, f64::max);
+    assert_eq!(res.metrics.latency_max.0, worst);
+
     // The latency stream saw exactly one sample per completion, and its
     // window shards merge back to the run-total histogram.
     let hist = res
         .telemetry
         .histogram("sched.latency_ns")
         .expect("latency histogram must exist");
-    assert_eq!(hist.count(), res.metrics.completed);
+    assert_eq!(hist.count(), completed.len() as u64);
     let mut merged = Log2Histogram::new();
     for (_, shard) in res.telemetry.histogram_windows("sched.latency_ns") {
         merged.merge(shard);
@@ -106,10 +141,22 @@ fn assert_reconciled(res: &ServeResult) {
     for a in &res.slo {
         assert!(a.slo_met <= a.slo_total, "{}", a.tenant);
         assert!(a.attainment_ppm() <= 1_000_000, "{}", a.tenant);
+        // Queries bounced off the full queue settle without ever
+        // entering it.
+        let bounced = res
+            .outcomes
+            .iter()
+            .filter(|o| match o {
+                Outcome::Rejected { name, reason, .. } => {
+                    tenant_of(name) == a.tenant && matches!(reason, RejectReason::QueueFull { .. })
+                }
+                Outcome::Completed(_) => false,
+            })
+            .count() as u64;
         assert_eq!(
             res.telemetry
                 .counter(&format!("tenant.{}.enqueued", a.tenant)),
-            a.completed + a.shed,
+            a.completed + a.shed - bounced,
             "{}",
             a.tenant
         );
@@ -147,6 +194,20 @@ fn shuffled_submission_orders_all_reconcile() {
             );
         }
     }
+}
+
+/// A queue too shallow for the burst bounces arrivals before they are
+/// ever enqueued; the bounces must still reconcile and settle SLOs.
+#[test]
+fn queue_full_schedule_reconciles() {
+    let config = SchedulerConfig {
+        max_inflight: 1,
+        max_queue: 2,
+        ..SchedulerConfig::default()
+    };
+    let res = Scheduler::new(hw(), config).run(tenants(6, 24));
+    assert!(res.metrics.shed_queue_full > 0, "the burst must bounce");
+    assert_reconciled(&res);
 }
 
 /// Fault schedules (chaos plans) exercise retries, revocations, shed,
