@@ -4,44 +4,18 @@
 //!
 //! Prints the sweep table, writes the machine-readable sweep to `PATH`
 //! (default `BENCH_elastic.json`), and with `--check` exits non-zero
-//! unless the elastic policy sheds no queries, the fixed policy sheds at
-//! least one somewhere on the axis, and every completed result matched
-//! the reference join.
+//! unless every result matched the reference join, every query settled,
+//! the elastic policy sheds no queries, and the fixed policy sheds at
+//! least one somewhere on the axis without ever revising a grant.
 
 use triton_bench::figs::fig_elastic;
 
 fn main() {
-    let mut check = false;
-    let mut out = String::from("BENCH_elastic.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--out" => out = args.next().expect("--out needs a path"),
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-
-    let hw = triton_bench::hw();
     let m = fig_elastic::DEFAULT_M_TUPLES;
-    let rows = fig_elastic::print(&hw, m);
-    let json = fig_elastic::to_json(&hw, m, &rows);
-    std::fs::write(&out, &json).expect("write sweep JSON");
-    println!("wrote {out}");
-
-    if check {
-        let (elastic_shed, fixed_shed, exact) = fig_elastic::shed_totals(&rows);
-        if !exact {
-            eprintln!("FAIL: a completed result diverged from the reference join");
-            std::process::exit(1);
-        }
-        if elastic_shed > 0 || fixed_shed == 0 {
-            eprintln!(
-                "FAIL: shed totals elastic {elastic_shed} / fixed {fixed_shed} \
-                 (want elastic 0 and fixed >= 1)"
-            );
-            std::process::exit(1);
-        }
-        println!("check ok: elastic shed {elastic_shed} <= fixed shed {fixed_shed}, exact results");
-    }
+    triton_bench::sweep_main(
+        "BENCH_elastic.json",
+        |hw| fig_elastic::print(hw, m),
+        |hw, rows| fig_elastic::to_json(hw, m, rows),
+        |_, rows| fig_elastic::check(rows),
+    );
 }

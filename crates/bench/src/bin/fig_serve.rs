@@ -7,37 +7,21 @@
 //! non-zero unless every committed invariant holds: outcomes cover
 //! submissions, the registry's counters reconcile with the scheduler
 //! metrics, windowed rollups reconcile with run totals, and the text
-//! and JSON expositions replay byte-identically (clean and chaos).
+//! exposition replays byte-identically (clean and chaos).
 
 use triton_bench::figs::fig_serve;
 
 fn main() {
-    let mut check = false;
-    let mut out = String::from("BENCH_serve.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--out" => out = args.next().expect("--out needs a path"),
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-
-    let hw = triton_bench::hw();
-    let rows = fig_serve::print(&hw);
-    let json = fig_serve::to_json(&hw, &rows);
-    std::fs::write(&out, &json).expect("write trajectory JSON");
-    println!("wrote {out}");
-
-    if check {
-        if let Err(e) = fig_serve::check(&hw, &rows) {
-            eprintln!("FAIL: {e}");
-            std::process::exit(1);
-        }
-        if !fig_serve::replay_identical(&hw) {
-            eprintln!("FAIL: telemetry exposition diverged across same-seed replays");
-            std::process::exit(1);
-        }
-        println!("check ok: trajectory invariants hold, expositions replay byte-identically");
-    }
+    triton_bench::sweep_main(
+        "BENCH_serve.json",
+        fig_serve::print,
+        |hw, rows| fig_serve::to_json(hw, rows),
+        |hw, rows| {
+            let verdict = fig_serve::check(hw, rows)?;
+            if !fig_serve::replay_identical(hw) {
+                return Err("telemetry exposition diverged across same-seed replays".into());
+            }
+            Ok(format!("{verdict}, expositions replay byte-identically"))
+        },
+    );
 }

@@ -4,41 +4,17 @@
 //!
 //! Prints the sweep table, writes the machine-readable sweep to `PATH`
 //! (default `BENCH_skew.json`), and with `--check` exits non-zero unless
-//! the skew-aware total is at or below the blind total at θ = 1.5.
+//! the sweep covers every policy × θ and the skew-aware total is at or
+//! below the blind total at θ = 1.5.
 
 use triton_bench::figs::fig_skew;
 
 fn main() {
-    let mut check = false;
-    let mut out = String::from("BENCH_skew.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--out" => out = args.next().expect("--out needs a path"),
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-
-    let hw = triton_bench::hw();
     let m = fig_skew::DEFAULT_M_TUPLES;
-    let rows = fig_skew::print(&hw, m);
-    let json = fig_skew::to_json(&hw, m, &rows);
-    std::fs::write(&out, &json).expect("write sweep JSON");
-    println!("wrote {out}");
-
-    if check {
-        let win = fig_skew::win_at_theta_1_5(&rows).expect("theta 1.5 in axis");
-        if win < 0.0 {
-            eprintln!(
-                "FAIL: skew-aware total exceeds blind at theta 1.5 by {:.2}%",
-                -win * 100.0
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "check ok: skew-aware <= blind at theta 1.5 ({:.1}% lower)",
-            win * 100.0
-        );
-    }
+    triton_bench::sweep_main(
+        "BENCH_skew.json",
+        |hw| fig_skew::print(hw, m),
+        |hw, rows| fig_skew::to_json(hw, m, rows),
+        |_, rows| fig_skew::check(rows),
+    );
 }

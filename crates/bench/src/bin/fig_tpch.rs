@@ -5,43 +5,17 @@
 //!
 //! Prints the sweep table, writes the machine-readable sweep to `PATH`
 //! (default `BENCH_tpch.json`), and with `--check` exits non-zero unless
-//! the pipelined plan beats materialize-everything at the Q3 operating
+//! both modes agree at every point, materialize-everything keeps no
+//! edge resident, and the pipelined plan beats it at the Q3 operating
 //! point (θ = 1.0, the default scale).
 
 use triton_bench::figs::fig_tpch;
 
 fn main() {
-    let mut check = false;
-    let mut out = String::from("BENCH_tpch.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--out" => out = args.next().expect("--out needs a path"),
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-
-    let hw = triton_bench::hw();
-    let rows = fig_tpch::print(&hw, &fig_tpch::M_AXIS);
-    let json = fig_tpch::to_json(&hw, &rows);
-    std::fs::write(&out, &json).expect("write sweep JSON");
-    println!("wrote {out}");
-
-    if check {
-        let win = fig_tpch::win_at_q3_operating_point(&rows).expect("operating point in sweep");
-        if win <= 0.0 {
-            eprintln!(
-                "FAIL: pipelined plan not faster than materialize-everything at Q3 \
-                 (slower by {:.2}%)",
-                -win * 100.0
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "check ok: pipelined beats materialize-everything at the Q3 operating point \
-             ({:.1}% lower)",
-            win * 100.0
-        );
-    }
+    triton_bench::sweep_main(
+        "BENCH_tpch.json",
+        |hw| fig_tpch::print(hw, &fig_tpch::M_AXIS),
+        |hw, rows| fig_tpch::to_json(hw, rows),
+        |_, rows| fig_tpch::check(rows, &fig_tpch::M_AXIS),
+    );
 }

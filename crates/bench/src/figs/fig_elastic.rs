@@ -15,7 +15,7 @@ use triton_exec::{JoinQuery, Scheduler, SchedulerConfig};
 use triton_hw::units::Ns;
 use triton_hw::HwConfig;
 
-use crate::json::JsonObject;
+use triton_trace::json::JsonObject;
 
 /// Burst sizes swept (simultaneous deadline-holding arrivals). Capped
 /// where all pipeline floors still fit the GPU together — beyond that
@@ -133,15 +133,14 @@ pub fn run(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
 
 /// Render the sweep as a stable JSON document (fixed key order).
 pub fn to_json(hw: &HwConfig, m_tuples: u64, rows: &[Row]) -> String {
-    let header = JsonObject::new()
+    let config = JsonObject::new()
         .str("schema", "triton-bench/fig-elastic/v1")
         .int("scale", hw.scale)
         .int("m_tuples", m_tuples)
-        .num("deadline_factor", DEADLINE_FACTOR)
-        .render();
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
+        .num("deadline_factor", DEADLINE_FACTOR);
+    super::sweep_json(
+        config,
+        rows.iter().map(|r| {
             JsonObject::new()
                 .str("policy", r.policy)
                 .int("burst", r.burst)
@@ -152,13 +151,7 @@ pub fn to_json(hw: &HwConfig, m_tuples: u64, rows: &[Row]) -> String {
                 .int("grant_revisions", r.grant_revisions)
                 .int("grant_reclaimed_bytes", r.grant_reclaimed_bytes)
                 .bool("exact", r.exact)
-                .render()
-        })
-        .collect();
-    format!(
-        "{{\"config\":{},\"rows\":[\n{}\n]}}\n",
-        header,
-        body.join(",\n")
+        }),
     )
 }
 
@@ -172,6 +165,41 @@ pub fn shed_totals(rows: &[Row]) -> (u64, u64, bool) {
             .sum()
     };
     (shed("elastic"), shed("fixed"), rows.iter().all(|r| r.exact))
+}
+
+/// The committed sweep's `--check`: one row per policy × burst size,
+/// every row exact with each query settled (completed or shed), the
+/// elastic policy shedding nothing, the fixed policy shedding somewhere
+/// on the axis, and fixed grants never revised. `Ok` carries the verdict
+/// line.
+pub fn check(rows: &[Row]) -> Result<String, String> {
+    let expected = 2 * BURST_AXIS.len();
+    if rows.len() != expected {
+        return Err(format!("{} rows, expected {expected}", rows.len()));
+    }
+    for r in rows {
+        let tag = format!("{} burst {}", r.policy, r.burst);
+        if !r.exact {
+            return Err(format!(
+                "{tag}: a completed result diverged from the reference join"
+            ));
+        }
+        if r.completed + r.shed != r.burst {
+            return Err(format!("{tag}: outcomes do not cover the burst"));
+        }
+        if r.policy == "fixed" && r.grant_revisions != 0 {
+            return Err(format!("{tag}: fixed grants were revised"));
+        }
+    }
+    let (elastic_shed, fixed_shed, _) = shed_totals(rows);
+    if elastic_shed > 0 || fixed_shed == 0 {
+        return Err(format!(
+            "shed totals elastic {elastic_shed} / fixed {fixed_shed} (want elastic 0 and fixed >= 1)"
+        ));
+    }
+    Ok(format!(
+        "elastic shed {elastic_shed} <= fixed shed {fixed_shed}, exact results"
+    ))
 }
 
 /// Print the figure.
@@ -217,22 +245,28 @@ mod tests {
     fn elastic_absorbs_the_burst_fixed_sheds() {
         let hw = HwConfig::ac922().scaled(512);
         let rows = run(&hw, DEFAULT_M_TUPLES);
-        let (elastic_shed, fixed_shed, exact) = shed_totals(&rows);
-        assert!(exact, "every completed result must match the reference");
-        assert_eq!(elastic_shed, 0, "elastic must absorb every burst");
-        assert!(
-            fixed_shed >= 1,
-            "the sweep must include a burst the fixed policy sheds on"
-        );
-        for r in &rows {
-            if r.policy == "fixed" {
-                assert_eq!(r.grant_revisions, 0, "fixed grants never revise");
-            } else {
-                assert_eq!(r.completed, r.burst, "elastic completes the burst");
-            }
-        }
+        // Exact results, no elastic shed, a fixed shed somewhere, and
+        // fixed grants never revised.
+        check(&rows).expect("the committed check holds");
+        assert!(check(&rows[1..]).is_err(), "a missing row fails");
+        // The document's schema tag and every row's exact column order.
         let json = to_json(&hw, DEFAULT_M_TUPLES, &rows);
-        assert!(json.contains("\"schema\":\"triton-bench/fig-elastic/v1\""));
-        assert_eq!(json.matches("\"policy\"").count(), rows.len());
+        assert!(json.starts_with("{\"config\":{\"schema\":\"triton-bench/fig-elastic/v1\","));
+        let columns = [
+            "policy",
+            "burst",
+            "completed",
+            "shed",
+            "p99_ns",
+            "makespan_ns",
+            "grant_revisions",
+            "grant_reclaimed_bytes",
+            "exact",
+        ];
+        let keys = crate::figs::row_keys(&json);
+        assert_eq!(keys.len(), rows.len());
+        for k in keys {
+            assert_eq!(k, columns);
+        }
     }
 }

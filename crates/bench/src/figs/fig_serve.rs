@@ -23,7 +23,7 @@ use triton_exec::{FaultPlan, JoinQuery, Operator, Scheduler, SchedulerConfig, Se
 use triton_hw::units::Ns;
 use triton_hw::HwConfig;
 
-use crate::json::JsonObject;
+use triton_trace::json::JsonObject;
 
 /// Offered-load axis (fractions of serial drain capacity).
 pub const LOAD_AXIS: [f64; 3] = [0.5, 1.0, 2.0];
@@ -309,9 +309,7 @@ pub fn replay_identical(hw: &HwConfig) -> bool {
     for (mix, chaos) in [("shared", false), ("mixed", true)] {
         let a = serve_point(hw, mix, CHAOS_LOAD, chaos);
         let b = serve_point(hw, mix, CHAOS_LOAD, chaos);
-        if a.telemetry.expose_text() != b.telemetry.expose_text()
-            || a.telemetry.expose_json() != b.telemetry.expose_json()
-        {
+        if a.telemetry.expose_text() != b.telemetry.expose_text() {
             return false;
         }
     }
@@ -321,8 +319,9 @@ pub fn replay_identical(hw: &HwConfig) -> bool {
 /// Deterministic facts every committed trajectory must satisfy. At the
 /// committed scale ([`BASELINE_SCALE`]) the batched + cached throughput
 /// path is additionally held to the pre-throughput [`BASELINE`]: losing
-/// completions or SLO attainment at *any* point fails the check.
-pub fn check(hw: &HwConfig, rows: &[Row]) -> Result<(), String> {
+/// completions or SLO attainment at *any* point fails the check. `Ok`
+/// carries the verdict line.
+pub fn check(hw: &HwConfig, rows: &[Row]) -> Result<String, String> {
     let expected_rows = MIXES.len() * (LOAD_AXIS.len() + 1);
     if rows.len() != expected_rows {
         return Err(format!("{} rows, expected {expected_rows}", rows.len()));
@@ -388,20 +387,19 @@ pub fn check(hw: &HwConfig, rows: &[Row]) -> Result<(), String> {
     if !MIXES.iter().all(|m| saturated(m)) {
         return Err("heavier load finished faster end-to-end".to_string());
     }
-    Ok(())
+    Ok("trajectory invariants hold".to_string())
 }
 
 /// Render the trajectory as a stable JSON document (fixed key order).
 pub fn to_json(hw: &HwConfig, rows: &[Row]) -> String {
-    let header = JsonObject::new()
+    let config = JsonObject::new()
         .str("schema", "triton-bench/fig-serve/v2")
         .int("scale", hw.scale)
         .int("queries_per_point", QUERIES as u64)
-        .num("deadline_service_times", DEADLINE_SERVICE_TIMES)
-        .render();
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
+        .num("deadline_service_times", DEADLINE_SERVICE_TIMES);
+    super::sweep_json(
+        config,
+        rows.iter().map(|r| {
             JsonObject::new()
                 .str("mix", r.mix)
                 .str("mode", r.mode)
@@ -424,13 +422,7 @@ pub fn to_json(hw: &HwConfig, rows: &[Row]) -> String {
                 .int("cost_cache_hit_ppm", r.cost_cache_hit_ppm)
                 .int("build_prefix_hits", r.build_prefix_hits)
                 .int("sched_overhead_ns", r.sched_overhead_ns)
-                .render()
-        })
-        .collect();
-    format!(
-        "{{\"config\":{},\"rows\":[\n{}\n]}}\n",
-        header,
-        body.join(",\n")
+        }),
     )
 }
 
@@ -478,6 +470,7 @@ pub fn print(hw: &HwConfig) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triton_exec::Resilience;
 
     #[test]
     fn trajectory_reconciles_and_serializes() {
@@ -511,16 +504,10 @@ mod tests {
             "build_prefix_hits",
             "sched_overhead_ns",
         ];
-        let lines: Vec<&str> = json.lines().filter(|l| l.starts_with("{\"mix\"")).collect();
-        assert_eq!(lines.len(), rows.len());
-        for line in lines {
-            let keys: Vec<&str> = line
-                .trim_end_matches(',')
-                .split(',')
-                .filter_map(|field| field.split(':').next())
-                .map(|k| k.trim_matches(|c| c == '{' || c == '"'))
-                .collect();
-            assert_eq!(keys, columns, "{line}");
+        let keys = crate::figs::row_keys(&json);
+        assert_eq!(keys.len(), rows.len());
+        for k in keys {
+            assert_eq!(k, columns);
         }
     }
 
@@ -559,8 +546,8 @@ mod tests {
                 .run_with_faults(queries.clone(), &plan)
                 .metrics;
             let fragile = SchedulerConfig {
-                arrival_batch: SchedulerConfig::throughput().arrival_batch,
-                ..SchedulerConfig::no_resilience()
+                resilience: Resilience::Off,
+                ..SchedulerConfig::throughput()
             };
             let fragile = Scheduler::new(hw.clone(), fragile)
                 .run_with_faults(queries, &plan)

@@ -15,7 +15,7 @@ use triton_core::{SkewPolicy, TritonJoin};
 use triton_datagen::WorkloadSpec;
 use triton_hw::HwConfig;
 
-use crate::json::JsonObject;
+use triton_trace::json::JsonObject;
 
 /// The Zipf exponent axis of the sweep.
 pub const THETA_AXIS: [f64; 8] = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75];
@@ -108,14 +108,13 @@ pub fn run(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
 /// header object with the run configuration and one row object per
 /// measured point.
 pub fn to_json(hw: &HwConfig, m_tuples: u64, rows: &[Row]) -> String {
-    let header = JsonObject::new()
+    let config = JsonObject::new()
         .str("schema", "triton-bench/fig-skew/v1")
         .int("scale", hw.scale)
-        .int("m_tuples", m_tuples)
-        .render();
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
+        .int("m_tuples", m_tuples);
+    super::sweep_json(
+        config,
+        rows.iter().map(|r| {
             JsonObject::new()
                 .str("policy", r.policy)
                 .num("theta", r.theta)
@@ -127,13 +126,7 @@ pub fn to_json(hw: &HwConfig, m_tuples: u64, rows: &[Row]) -> String {
                 .int("pairs_cached", r.pairs_cached)
                 .int("lanes", r.lanes)
                 .int("matches", r.matches)
-                .render()
-        })
-        .collect();
-    format!(
-        "{{\"config\":{},\"rows\":[\n{}\n]}}\n",
-        header,
-        body.join(",\n")
+        }),
     )
 }
 
@@ -146,6 +139,35 @@ pub fn win_at_theta_1_5(rows: &[Row]) -> Option<f64> {
             .map(|r| r.total_ns)
     };
     Some(1.0 - at("aware")? / at("off")?)
+}
+
+/// The committed sweep's `--check`: one row per policy × θ, and at
+/// θ = 1.5 the skew-aware executor at or below the blind total with the
+/// same matches. `Ok` carries the verdict line.
+pub fn check(rows: &[Row]) -> Result<String, String> {
+    let expected = 2 * THETA_AXIS.len();
+    if rows.len() != expected {
+        return Err(format!("{} rows, expected {expected}", rows.len()));
+    }
+    let matches = |policy: &str| {
+        rows.iter()
+            .find(|r| r.policy == policy && (r.theta - 1.5).abs() < 1e-9)
+            .map(|r| r.matches)
+    };
+    if matches("aware") != matches("off") {
+        return Err("policies disagree on matches at theta 1.5".to_string());
+    }
+    let win = win_at_theta_1_5(rows).ok_or("theta 1.5 missing from the sweep")?;
+    if win < 0.0 {
+        return Err(format!(
+            "skew-aware total exceeds blind at theta 1.5 by {:.2}%",
+            -win * 100.0
+        ));
+    }
+    Ok(format!(
+        "skew-aware <= blind at theta 1.5 ({:.1}% lower)",
+        win * 100.0
+    ))
 }
 
 /// Print the figure.
@@ -212,9 +234,27 @@ mod tests {
             aware175 <= aware0 * 1.10,
             "aware should stay near-flat across the sweep: {aware175} vs {aware0}"
         );
-        // JSON renders with the expected schema tag and row count.
+        check(&rows).expect("the committed check holds");
+        assert!(check(&rows[1..]).is_err(), "a missing row fails");
+        // The document's schema tag and every row's exact column order.
         let json = to_json(&hw, 512, &rows);
-        assert!(json.contains("\"schema\":\"triton-bench/fig-skew/v1\""));
-        assert_eq!(json.matches("\"policy\"").count(), rows.len());
+        assert!(json.starts_with("{\"config\":{\"schema\":\"triton-bench/fig-skew/v1\","));
+        let columns = [
+            "policy",
+            "theta",
+            "total_ns",
+            "gtps",
+            "spill_ns",
+            "cache_hit_bytes",
+            "cache_spilled_bytes",
+            "pairs_cached",
+            "lanes",
+            "matches",
+        ];
+        let keys = crate::figs::row_keys(&json);
+        assert_eq!(keys.len(), rows.len());
+        for k in keys {
+            assert_eq!(k, columns);
+        }
     }
 }

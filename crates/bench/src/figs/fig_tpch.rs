@@ -14,7 +14,7 @@ use triton_datagen::{TpchQuery, TpchSpec};
 use triton_hw::HwConfig;
 use triton_plan::{reference_plan, tpch_query};
 
-use crate::json::JsonObject;
+use triton_trace::json::JsonObject;
 
 /// The Zipf exponent axis of the foreign-key correlation.
 pub const THETA_AXIS: [f64; 3] = [0.5, 1.0, 1.5];
@@ -123,14 +123,13 @@ pub fn run(hw: &HwConfig, m_axis: &[u64]) -> Vec<Row> {
 
 /// Render the sweep as a stable JSON document (fixed key order).
 pub fn to_json(hw: &HwConfig, rows: &[Row]) -> String {
-    let header = JsonObject::new()
+    let config = JsonObject::new()
         .str("schema", "triton-bench/fig-tpch/v1")
         .int("scale", hw.scale)
-        .int("default_m_tuples", DEFAULT_M_TUPLES)
-        .render();
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
+        .int("default_m_tuples", DEFAULT_M_TUPLES);
+    super::sweep_json(
+        config,
+        rows.iter().map(|r| {
             JsonObject::new()
                 .str("query", r.query)
                 .str("mode", r.mode)
@@ -144,13 +143,7 @@ pub fn to_json(hw: &HwConfig, rows: &[Row]) -> String {
                 .int("peak_footprint_bytes", r.peak_footprint_bytes)
                 .int("groups", r.groups)
                 .int("sum_digest", r.sum_digest)
-                .render()
-        })
-        .collect();
-    format!(
-        "{{\"config\":{},\"rows\":[\n{}\n]}}\n",
-        header,
-        body.join(",\n")
+        }),
     )
 }
 
@@ -169,6 +162,53 @@ pub fn win_at_q3_operating_point(rows: &[Row]) -> Option<f64> {
             .map(|r| r.total_ns)
     };
     Some(1.0 - at("pipelined")? / at("materialized")?)
+}
+
+/// The committed sweep's `--check` over a sweep of `m_axis`: one row per
+/// query × θ × scale × mode; at every point both modes agree on the
+/// aggregate and materialize-everything really round-trips every edge;
+/// and the pipelined plan beats it at the Q3 operating point. `Ok`
+/// carries the verdict line.
+pub fn check(rows: &[Row], m_axis: &[u64]) -> Result<String, String> {
+    let expected = 2 * THETA_AXIS.len() * m_axis.len() * 2;
+    if rows.len() != expected {
+        return Err(format!("{} rows, expected {expected}", rows.len()));
+    }
+    for query in ["q3", "q9"] {
+        for &theta in &THETA_AXIS {
+            for &m in m_axis {
+                let at = |mode: &str| {
+                    rows.iter().find(|r| {
+                        r.query == query
+                            && r.mode == mode
+                            && (r.theta - theta).abs() < 1e-9
+                            && r.m_tuples == m
+                    })
+                };
+                let tag = format!("{query} theta {theta} {m} M");
+                let (Some(p), Some(a)) = (at("pipelined"), at("materialized")) else {
+                    return Err(format!("{tag}: point missing"));
+                };
+                if (p.groups, p.sum_digest) != (a.groups, a.sum_digest) {
+                    return Err(format!("{tag}: modes disagree on the aggregate"));
+                }
+                if a.resident_edges != 0 || a.materialize_ns <= 0.0 {
+                    return Err(format!("{tag}: materialized plan kept an edge resident"));
+                }
+            }
+        }
+    }
+    let win = win_at_q3_operating_point(rows).ok_or("Q3 operating point missing")?;
+    if win <= 0.0 {
+        return Err(format!(
+            "pipelined plan not faster than materialize-everything at Q3 (slower by {:.2}%)",
+            -win * 100.0
+        ));
+    }
+    Ok(format!(
+        "pipelined beats materialize-everything at the Q3 operating point ({:.1}% lower)",
+        win * 100.0
+    ))
 }
 
 /// Print the figure.
@@ -238,8 +278,31 @@ mod tests {
             assert!(mat.materialize_ns > 0.0);
             assert_eq!(piped.groups, mat.groups);
         }
+        // The sweep lacks the Q3 operating point, so only that check fails.
+        let err = check(&rows, &[4]).expect_err("operating point is off this axis");
+        assert!(err.contains("Q3 operating point"), "{err}");
+        assert!(check(&rows[1..], &[4]).is_err(), "a missing row fails");
+        // The document's schema tag and every row's exact column order.
         let json = to_json(&hw, &rows);
-        assert!(json.contains("\"schema\":\"triton-bench/fig-tpch/v1\""));
-        assert_eq!(json.matches("\"query\"").count(), rows.len());
+        assert!(json.starts_with("{\"config\":{\"schema\":\"triton-bench/fig-tpch/v1\","));
+        let columns = [
+            "query",
+            "mode",
+            "theta",
+            "m_tuples",
+            "total_ns",
+            "gtps",
+            "materialize_ns",
+            "resident_edges",
+            "materialized_edges",
+            "peak_footprint_bytes",
+            "groups",
+            "sum_digest",
+        ];
+        let keys = crate::figs::row_keys(&json);
+        assert_eq!(keys.len(), rows.len());
+        for k in keys {
+            assert_eq!(k, columns);
+        }
     }
 }

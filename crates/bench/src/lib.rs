@@ -16,7 +16,6 @@
 #![deny(missing_docs)]
 
 pub mod figs;
-pub mod json;
 pub mod micro;
 
 use triton_hw::HwConfig;
@@ -108,6 +107,45 @@ pub fn f1(v: f64) -> String {
 /// Format a fraction as a percentage.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
+}
+
+/// The `[--check] [--out PATH]` driver shared by the committed sweep
+/// binaries (`fig_skew`, `fig_tpch`, `fig_elastic`, `fig_serve`): run
+/// `sweep` on [`hw`] (it prints its table and returns the rows), write
+/// `to_json` of the rows to `PATH` (default `default_out`), and with
+/// `--check` exit non-zero unless `check` accepts the rows; its `Ok` is
+/// the verdict printed after `check ok:`.
+pub fn sweep_main<R>(
+    default_out: &str,
+    sweep: impl FnOnce(&HwConfig) -> R,
+    to_json: impl FnOnce(&HwConfig, &R) -> String,
+    check: impl FnOnce(&HwConfig, &R) -> Result<String, String>,
+) {
+    let mut checked = false;
+    let mut out = default_out.to_string();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--check" => checked = true,
+            "--out" => out = args.next().expect("--out needs a path"),
+            other => panic!("unknown argument {other:?}"),
+        }
+    }
+
+    let hw = hw();
+    let rows = sweep(&hw);
+    std::fs::write(&out, to_json(&hw, &rows)).expect("write sweep JSON");
+    println!("wrote {out}");
+
+    if checked {
+        match check(&hw, &rows) {
+            Ok(verdict) => println!("check ok: {verdict}"),
+            Err(e) => {
+                eprintln!("FAIL: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
 /// Print an experiment banner.

@@ -9,7 +9,7 @@
 //! construction.
 
 use triton_hw::units::{Bytes, Ns};
-use triton_trace::json::push_str_lit;
+use triton_trace::json::JsonObject;
 
 /// Aggregated time and bytes of one `(operator, phase)` pair across every
 /// completed query of a run — the paper's Fig 11 phase breakdown, lifted
@@ -200,71 +200,48 @@ impl SchedulerMetrics {
     /// machine-readable reports.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut phases = String::from("[");
-        for (i, r) in self.phases.iter().enumerate() {
-            if i > 0 {
-                phases.push(',');
-            }
-            phases.push_str("{\"op\":");
-            push_str_lit(&mut phases, &r.operator);
-            phases.push_str(",\"phase\":");
-            push_str_lit(&mut phases, &r.phase);
-            phases.push_str(&format!(
-                ",\"count\":{},\"time_ns\":{},\"bytes\":{}}}",
-                r.count, r.time.0, r.bytes.0,
-            ));
-        }
-        phases.push(']');
-        format!(
-            concat!(
-                "{{\"completed\":{},\"rejected\":{},\"shed_deadline\":{},",
-                "\"shed_queue_full\":{},\"shed_capacity\":{},\"shed_faulted\":{},",
-                "\"makespan_ns\":{},\"tuples\":{},\"throughput_gtps\":{},",
-                "\"latency_p50_ns\":{},\"latency_p99_ns\":{},\"latency_max_ns\":{},",
-                "\"peak_gpu_reserved\":{},\"gpu_capacity\":{},\"gpu_retired\":{},",
-                "\"peak_concurrency\":{},\"mean_concurrency\":{},",
-                "\"cache_hit_bytes\":{},\"cache_spilled_bytes\":{},",
-                "\"build_cache_hits\":{},\"build_cache_prefix_hits\":{},",
-                "\"build_cache_misses\":{},",
-                "\"builds_quarantined\":{},\"faults_injected\":{},",
-                "\"retries\":{},\"downgrades\":{},\"revocations\":{},",
-                "\"grant_revisions\":{},\"grant_reclaimed\":{},",
-                "\"cost_cache_hits\":{},\"cost_cache_misses\":{},",
-                "\"phases\":{}}}"
-            ),
-            self.completed,
-            self.rejected,
-            self.shed_deadline,
-            self.shed_queue_full,
-            self.shed_capacity,
-            self.shed_faulted,
-            self.makespan.0,
-            self.tuples,
-            self.throughput_gtps,
-            self.latency_p50.0,
-            self.latency_p99.0,
-            self.latency_max.0,
-            self.peak_gpu_reserved.0,
-            self.gpu_capacity.0,
-            self.gpu_retired.0,
-            self.peak_concurrency,
-            self.mean_concurrency,
-            self.cache_hit_bytes.0,
-            self.cache_spilled_bytes.0,
-            self.build_cache_hits,
-            self.build_cache_prefix_hits,
-            self.build_cache_misses,
-            self.builds_quarantined,
-            self.faults_injected,
-            self.retries,
-            self.downgrades,
-            self.revocations,
-            self.grant_revisions,
-            self.grant_reclaimed.0,
-            self.cost_cache_hits,
-            self.cost_cache_misses,
-            phases,
-        )
+        let phases = self.phases.iter().map(|r| {
+            JsonObject::new()
+                .str("op", &r.operator)
+                .str("phase", &r.phase)
+                .int("count", r.count)
+                .num("time_ns", r.time.0)
+                .int("bytes", r.bytes.0)
+        });
+        JsonObject::new()
+            .int("completed", self.completed)
+            .int("rejected", self.rejected)
+            .int("shed_deadline", self.shed_deadline)
+            .int("shed_queue_full", self.shed_queue_full)
+            .int("shed_capacity", self.shed_capacity)
+            .int("shed_faulted", self.shed_faulted)
+            .num("makespan_ns", self.makespan.0)
+            .int("tuples", self.tuples)
+            .num("throughput_gtps", self.throughput_gtps)
+            .num("latency_p50_ns", self.latency_p50.0)
+            .num("latency_p99_ns", self.latency_p99.0)
+            .num("latency_max_ns", self.latency_max.0)
+            .int("peak_gpu_reserved", self.peak_gpu_reserved.0)
+            .int("gpu_capacity", self.gpu_capacity.0)
+            .int("gpu_retired", self.gpu_retired.0)
+            .int("peak_concurrency", self.peak_concurrency as u64)
+            .num("mean_concurrency", self.mean_concurrency)
+            .int("cache_hit_bytes", self.cache_hit_bytes.0)
+            .int("cache_spilled_bytes", self.cache_spilled_bytes.0)
+            .int("build_cache_hits", self.build_cache_hits)
+            .int("build_cache_prefix_hits", self.build_cache_prefix_hits)
+            .int("build_cache_misses", self.build_cache_misses)
+            .int("builds_quarantined", self.builds_quarantined)
+            .int("faults_injected", self.faults_injected)
+            .int("retries", self.retries)
+            .int("downgrades", self.downgrades)
+            .int("revocations", self.revocations)
+            .int("grant_revisions", self.grant_revisions)
+            .int("grant_reclaimed", self.grant_reclaimed.0)
+            .int("cost_cache_hits", self.cost_cache_hits)
+            .int("cost_cache_misses", self.cost_cache_misses)
+            .array("phases", phases)
+            .render()
     }
 }
 

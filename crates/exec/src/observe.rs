@@ -36,6 +36,7 @@ use triton_hw::HwConfig;
 use triton_metrics::{sim_ns, MetricsRegistry};
 use triton_trace::{Attr, FlightRecorder, Trace};
 
+use crate::admission::RevisionOutcome;
 use crate::build_cache::BuildHit;
 use crate::cost_cache::Pricing;
 use crate::metrics::{PhaseRollup, SchedulerMetrics};
@@ -78,6 +79,7 @@ fn reject_kind(reason: &RejectReason) -> &'static str {
         RejectReason::Oom(_) => "oom",
         RejectReason::DeadlineExceeded { .. } => "deadline",
         RejectReason::Faulted { .. } => "faulted",
+        RejectReason::InvalidArrival { .. } => "invalid-arrival",
     }
 }
 
@@ -257,20 +259,16 @@ impl Recorder {
         self.registry.counter_inc("sched.revocations", sim_ns(ts.0));
     }
 
-    /// A running query's memory grant was revised in place (the
+    /// A running query's memory grant was shrunk in place (the
     /// shrink-in-place rungs above the drop-everything ladder steps).
     /// Revisions are part of the pressure story, so the flight ring is
     /// dumped alongside, with the priced reclaim traffic on the event.
-    #[allow(clippy::too_many_arguments)]
     pub fn revise(
         &mut self,
         id: QueryId,
         q: &JoinQuery,
         ts: Ns,
-        kind: &'static str,
-        delta: Bytes,
-        new_reserved: Bytes,
-        reclaim: Ns,
+        out: &RevisionOutcome,
         reason: &'static str,
     ) {
         self.lifecycle(
@@ -278,20 +276,18 @@ impl Recorder {
             "grant-revision",
             ts,
             vec![
-                Attr::str("kind", kind),
-                Attr::u64("delta_bytes", delta.0),
-                Attr::u64("reserved_bytes", new_reserved.0),
-                Attr::f64("reclaim_ns", reclaim.0),
+                Attr::str("kind", "shrink"),
+                Attr::u64("delta_bytes", out.delta.0),
+                Attr::u64("reserved_bytes", out.grant.reserved.0),
+                Attr::f64("reclaim_ns", out.reclaim.0),
                 Attr::str("reason", reason),
             ],
         );
         self.registry
             .counter_inc("sched.grant_revisions", sim_ns(ts.0));
         self.registry
-            .counter_inc(&format!("sched.grant_revisions.{kind}"), sim_ns(ts.0));
-        if kind == "shrink" {
-            self.totals.grant_reclaimed += delta;
-        }
+            .counter_inc("sched.grant_revisions.shrink", sim_ns(ts.0));
+        self.totals.grant_reclaimed += out.delta;
         self.slo_entry(tenant_of(&q.name)).grant_revisions += 1;
         self.dump("grant-revision", ts);
     }

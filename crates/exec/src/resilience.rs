@@ -2,11 +2,12 @@
 //! hardware faults instead of shedding.
 //!
 //! Three mechanisms compose (motivated by the robust-dynamic-hybrid-join
-//! and CPU/GPU co-processing lines of work in PAPERS.md):
+//! and CPU/GPU co-processing lines of work in PAPERS.md), selected as one
+//! [`Resilience`] policy:
 //!
-//! * a [`RetryPolicy`] — exponential backoff with deterministic,
-//!   seed-derived jitter, bounded by each query's deadline, for
-//!   transient kernel failures;
+//! * retry with exponential backoff — deterministic, seed-derived
+//!   jitter, bounded by each query's deadline — for transient kernel
+//!   failures;
 //! * a **degradation ladder** ([`downgrade_operator`]) — on admission
 //!   failure or reservation revocation a query first shrinks its cache
 //!   grant, then walks Triton → CPU-partitioned GPU join → CPU radix
@@ -23,61 +24,82 @@ use triton_hw::units::Ns;
 
 use crate::query::{Operator, QueryId};
 
-/// Exponential backoff with deterministic jitter for transient faults.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Transient failures tolerated on one ladder rung before the query
-    /// is downgraded to the next operator.
-    pub max_retries: u32,
-    /// First backoff delay.
-    pub base_backoff: Ns,
-    /// Backoff growth per attempt.
-    pub multiplier: f64,
-    /// Jitter amplitude as a fraction of the delay (`0.25` spreads each
-    /// delay ±25%), derived deterministically from the seed, the query
-    /// id, and the attempt number.
-    pub jitter_frac: f64,
-    /// Seed for the jitter stream.
-    pub seed: u64,
+/// Which fault-recovery policy the scheduler runs. The three variants
+/// are the three behaviours committed numbers use: the fragile chaos
+/// baseline, `fig_elastic`'s fixed-grant rows, and everything else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Resilience {
+    /// Every fault sheds its victim with
+    /// [`crate::RejectReason::Faulted`] — the baseline the resilient
+    /// path is compared against.
+    Off,
+    /// Retry with backoff, shrink the grant on a first revocation, and
+    /// descend the ladder — but grants are immutable once issued, so
+    /// memory pressure goes straight to revocation or shedding (the
+    /// pre-elastic scheduler).
+    FixedGrants,
+    /// [`Resilience::FixedGrants`] plus shrink-in-place: under memory
+    /// pressure (a device retiring pages, or a deadline-holding arrival
+    /// that cannot be admitted) the scheduler first issues priced,
+    /// traced [`crate::admission::GrantRevision::Shrink`]s against
+    /// running queries' optional cache shares, and only once every cache
+    /// grant is exhausted falls back to revocation and the ladder.
+    #[default]
+    Elastic,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            base_backoff: Ns::millis(1.0),
-            multiplier: 2.0,
-            jitter_frac: 0.25,
-            seed: 0x7E57_AB1E,
-        }
+impl Resilience {
+    /// Whether faulted queries are recovered rather than shed.
+    #[must_use]
+    pub(crate) fn recovers(self) -> bool {
+        self != Resilience::Off
+    }
+
+    /// Whether running queries' grants may be shrunk in place.
+    #[must_use]
+    pub(crate) fn elastic(self) -> bool {
+        self == Resilience::Elastic
     }
 }
 
-impl RetryPolicy {
-    /// The backoff before retry number `attempt` (0-based) of `id`.
-    /// Deterministic: the same `(seed, id, attempt)` always yields the
-    /// same delay, so chaos runs replay byte-identically.
-    #[must_use]
-    pub fn backoff(&self, id: QueryId, attempt: u32) -> Ns {
-        let raw = self.base_backoff.0 * self.multiplier.powi(attempt.min(16) as i32);
-        let u = unit_f64(
-            self.seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(attempt) << 17),
-        );
-        let jitter = 1.0 + self.jitter_frac.clamp(0.0, 1.0) * (2.0 * u - 1.0);
-        Ns((raw * jitter).max(0.0))
-    }
+/// Transient failures tolerated on one ladder rung before the query is
+/// downgraded to the next operator.
+pub(crate) const MAX_RETRIES: u32 = 2;
 
-    /// [`Self::backoff`] clamped so the query becomes eligible no later
-    /// than `deadline_slack` from now — a retry scheduled past the
-    /// deadline is a guaranteed shed, so the policy spends at most the
-    /// remaining budget waiting.
-    #[must_use]
-    pub fn backoff_within(&self, id: QueryId, attempt: u32, deadline_slack: Option<Ns>) -> Ns {
-        let b = self.backoff(id, attempt);
-        match deadline_slack {
-            Some(slack) => b.min(slack.max(Ns::ZERO)),
-            None => b,
-        }
+/// Grant revisions tolerated per running query before it stops being a
+/// shrink victim (so one query's cache is not sanded away a page at a
+/// time while others sit untouched).
+pub(crate) const MAX_REVISIONS: u32 = 4;
+
+/// First backoff delay, in ns (1 ms).
+const BASE_BACKOFF_NS: f64 = 1e6;
+
+/// Backoff growth per attempt.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+
+/// Jitter amplitude as a fraction of the delay: each delay spreads ±25 %.
+const JITTER_FRAC: f64 = 0.25;
+
+/// Seed of the jitter stream.
+const JITTER_SEED: u64 = 0x7E57_AB1E;
+
+/// The backoff before retry number `attempt` (0-based) of `id`:
+/// exponential, with jitter derived deterministically from the seed, the
+/// query id, and the attempt number, so chaos runs replay
+/// byte-identically. The delay is clamped to `deadline_slack` — a retry
+/// scheduled past the deadline is a guaranteed shed, so the policy
+/// spends at most the remaining budget waiting.
+#[must_use]
+pub(crate) fn backoff(id: QueryId, attempt: u32, deadline_slack: Option<Ns>) -> Ns {
+    let raw = BASE_BACKOFF_NS * BACKOFF_MULTIPLIER.powi(attempt.min(16) as i32);
+    let u = unit_f64(
+        JITTER_SEED ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(attempt) << 17),
+    );
+    let jitter = 1.0 + JITTER_FRAC * (2.0 * u - 1.0);
+    let b = Ns((raw * jitter).max(0.0));
+    match deadline_slack {
+        Some(slack) => b.min(slack.max(Ns::ZERO)),
+        None => b,
     }
 }
 
@@ -124,105 +146,20 @@ pub fn downgrade_operator(op: &Operator) -> Option<Operator> {
     }
 }
 
-/// Elastic-grant policy: whether (and how often) the scheduler may
-/// revise a running query's [`crate::admission::MemoryGrant`] in place
-/// instead of revoking it. This adds **shrink-in-place rungs above the
-/// degradation ladder's drop-everything steps**: when memory pressure
-/// hits (a device retires pages, or a bursty arrival cannot be
-/// admitted), the scheduler first issues priced
-/// [`crate::admission::GrantRevision::Shrink`]s against running
-/// queries' optional cache shares — each a traced, link-cost-priced
-/// event — and only once every cache grant is exhausted does it fall
-/// back to revocation and the operator ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticGrants {
-    /// Master switch. Off reproduces the fixed-grant scheduler exactly:
-    /// pressure goes straight to revocation/shedding.
-    pub enabled: bool,
-    /// Revisions tolerated per running query before it stops being a
-    /// shrink victim (so one query's cache is not sanded away a page at
-    /// a time while others sit untouched).
-    pub max_revisions: u32,
-}
-
-impl Default for ElasticGrants {
-    fn default() -> Self {
-        ElasticGrants {
-            enabled: true,
-            max_revisions: 4,
-        }
-    }
-}
-
-impl ElasticGrants {
-    /// The fixed-grant baseline: grants are immutable once issued.
-    #[must_use]
-    pub fn fixed() -> Self {
-        ElasticGrants {
-            enabled: false,
-            max_revisions: 0,
-        }
-    }
-}
-
-/// Scheduler-level resilience configuration.
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// Master switch. Disabled, every fault sheds its victim — the
-    /// baseline the resilient path is compared against.
-    pub enabled: bool,
-    /// Retry/backoff policy for transient faults and revocations.
-    pub retry: RetryPolicy,
-    /// Elastic-grant policy: shrink-in-place before revoke/shed.
-    pub elastic: ElasticGrants,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            enabled: true,
-            retry: RetryPolicy::default(),
-            elastic: ElasticGrants::default(),
-        }
-    }
-}
-
-impl ResilienceConfig {
-    /// The no-resilience baseline: faults shed their victims.
-    #[must_use]
-    pub fn disabled() -> Self {
-        ResilienceConfig {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-
-    /// Resilient, but with immutable grants: the pre-elastic scheduler,
-    /// kept as the comparison baseline for `fig_elastic`.
-    #[must_use]
-    pub fn fixed_grants() -> Self {
-        ResilienceConfig {
-            elastic: ElasticGrants::fixed(),
-            ..Self::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn backoff_grows_and_is_deterministic() {
-        let p = RetryPolicy::default();
-        let a0 = p.backoff(QueryId(1), 0);
-        let a1 = p.backoff(QueryId(1), 1);
-        let a2 = p.backoff(QueryId(1), 2);
+        let a0 = backoff(QueryId(1), 0, None);
+        let a1 = backoff(QueryId(1), 1, None);
+        let a2 = backoff(QueryId(1), 2, None);
         assert!(a1.0 > a0.0 * 1.2, "{a0} -> {a1} should roughly double");
         assert!(a2.0 > a1.0 * 1.2);
-        assert_eq!(p.backoff(QueryId(1), 1), a1, "same inputs, same delay");
+        assert_eq!(backoff(QueryId(1), 1, None), a1, "same inputs, same delay");
         assert_ne!(
-            p.backoff(QueryId(2), 0).0,
+            backoff(QueryId(2), 0, None).0,
             a0.0,
             "different queries must not retry in lockstep"
         );
@@ -230,10 +167,9 @@ mod tests {
 
     #[test]
     fn backoff_respects_deadline_slack() {
-        let p = RetryPolicy::default();
-        let b = p.backoff_within(QueryId(3), 5, Some(Ns(10.0)));
+        let b = backoff(QueryId(3), 5, Some(Ns(10.0)));
         assert!(b.0 <= 10.0);
-        let unbounded = p.backoff_within(QueryId(3), 5, None);
+        let unbounded = backoff(QueryId(3), 5, None);
         assert!(unbounded.0 > 10.0, "attempt 5 should back off far longer");
     }
 

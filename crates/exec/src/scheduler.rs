@@ -6,9 +6,10 @@
 //! *execute concurrently* (speed set each event by the weighted max-min
 //! arbiter [`triton_hw::fair_share_rates`] over every query's
 //! [`ResourceVector`]) → *complete* (release memory, unpin the build
-//! cache). Queries can instead be *rejected* (queue full, or a memory
-//! floor that exceeds the entire GPU) or *shed* (deadline passed while
-//! queued) — always with a typed reason.
+//! cache). Queries can instead be *rejected* (queue full, a memory
+//! floor that exceeds the entire GPU, or an arrival time that is not a
+//! finite instant) or *shed* (deadline passed while queued) — always
+//! with a typed reason.
 //!
 //! # Fault injection
 //!
@@ -17,11 +18,12 @@
 //! reshape every in-flight query's demand vector (so the fair-share
 //! arbiter prices the *degraded* machine), ECC retirements shrink the
 //! admission capacity and revoke reservations that no longer fit, and
-//! transient kernel faults kill one GPU-resident attempt. With
-//! resilience enabled (the default), victims recover through retry with
-//! deterministic backoff, shrunken cache grants, and a degradation
-//! ladder ending at the CPU radix join; disabled, they are shed with
-//! [`RejectReason::Faulted`] — the baseline chaos tests compare against.
+//! transient kernel faults kill one GPU-resident attempt. Under a
+//! recovering [`Resilience`] policy (the default), victims recover
+//! through retry with deterministic backoff, shrunken cache grants, and
+//! a degradation ladder ending at the CPU radix join; under
+//! [`Resilience::Off`] they are shed with [`RejectReason::Faulted`] —
+//! the baseline chaos tests compare against.
 //!
 //! # Elastic grants
 //!
@@ -33,8 +35,8 @@
 //! queries' optional cache shares (coldest victims re-priced through
 //! the link cost model, never answers) and only falls back to
 //! revocation or shedding once every cache grant is exhausted. See
-//! [`crate::resilience::ElasticGrants`];
-//! [`SchedulerConfig::fixed_grants`] restores the pre-elastic behavior.
+//! [`Resilience::Elastic`]; [`SchedulerConfig::fixed_grants`] restores
+//! the pre-elastic behavior.
 //!
 //! Execution is functional: every admitted query actually runs its
 //! operator (with the granted cache budget) and the scheduler records the
@@ -64,9 +66,12 @@ use crate::fault::{degraded_vector, FaultCause, FaultOutcome};
 use crate::metrics::SchedulerMetrics;
 use crate::observe::{GaugeSample, Recorder};
 use crate::query::{JoinQuery, QueryId};
-use crate::resilience::downgrade_operator;
-pub use crate::resilience::ResilienceConfig;
+use crate::resilience::{backoff, downgrade_operator, Resilience, MAX_RETRIES, MAX_REVISIONS};
 use crate::slo::SloAccount;
+
+/// Events the flight-recorder ring keeps for the automatic dump on
+/// faults and ladder steps.
+const FLIGHT_CAPACITY: usize = 64;
 
 /// Why the scheduler refused to run a query.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,6 +108,12 @@ pub enum RejectReason {
         /// Transient retries consumed before the query was lost.
         retries: u32,
     },
+    /// The arrival time is NaN or infinite: the query has no place on
+    /// the timeline, so it is refused at intake.
+    InvalidArrival {
+        /// The submitted arrival time.
+        arrival: Ns,
+    },
 }
 
 impl std::fmt::Display for RejectReason {
@@ -118,6 +129,9 @@ impl std::fmt::Display for RejectReason {
             }
             RejectReason::Faulted { fault, retries } => {
                 write!(f, "lost to {fault} after {retries} retries")
+            }
+            RejectReason::InvalidArrival { arrival } => {
+                write!(f, "arrival time {} ns is not finite", arrival.0)
             }
         }
     }
@@ -206,11 +220,8 @@ pub struct SchedulerConfig {
     /// Maximum queries waiting for admission before new arrivals are
     /// rejected with [`RejectReason::QueueFull`].
     pub max_queue: usize,
-    /// Fault-recovery policies (see [`crate::resilience`]).
-    pub resilience: ResilienceConfig,
-    /// Capacity of the flight-recorder ring (most recent trace events
-    /// kept for the automatic dump on faults and ladder steps).
-    pub flight_capacity: usize,
+    /// Fault-recovery policy (see [`crate::resilience`]).
+    pub resilience: Resilience,
     /// Arrival-wake batching (epoch scheduling). With work in flight the
     /// event loop defers its arrival wake until this many pending
     /// arrivals are due — or the next completion / fault / retry wake,
@@ -232,8 +243,7 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             max_inflight: 8,
             max_queue: 64,
-            resilience: ResilienceConfig::default(),
-            flight_capacity: 64,
+            resilience: Resilience::default(),
             arrival_batch: 1,
             cost_caching: true,
         }
@@ -255,7 +265,7 @@ impl SchedulerConfig {
     #[must_use]
     pub fn no_resilience() -> Self {
         SchedulerConfig {
-            resilience: ResilienceConfig::disabled(),
+            resilience: Resilience::Off,
             ..Self::default()
         }
     }
@@ -266,7 +276,7 @@ impl SchedulerConfig {
     #[must_use]
     pub fn fixed_grants() -> Self {
         SchedulerConfig {
-            resilience: ResilienceConfig::fixed_grants(),
+            resilience: Resilience::FixedGrants,
             ..Self::default()
         }
     }
@@ -335,7 +345,7 @@ struct Running {
     /// Transient failures survived on the current ladder rung.
     attempts_at_rung: u32,
     /// In-place grant revisions absorbed so far (bounded by
-    /// [`crate::resilience::ElasticGrants::max_revisions`]).
+    /// [`MAX_REVISIONS`]).
     revisions: u32,
 }
 
@@ -349,6 +359,22 @@ struct Queued {
     attempts_at_rung: u32,
 }
 
+impl Queued {
+    /// Step one rung down the degradation ladder, traced as a
+    /// `downgrade` with `reason`; `false` at the bottom rung.
+    fn descend(&mut self, obs: &mut Recorder, clock: Ns, reason: &'static str) -> bool {
+        let Some(op) = downgrade_operator(&self.query.op) else {
+            return false;
+        };
+        let from = self.query.op.label();
+        self.query.op = op;
+        self.fault.downgrades += 1;
+        self.attempts_at_rung = 0;
+        obs.downgrade(self.id, clock, from, self.query.op.label(), reason);
+        true
+    }
+}
+
 /// Insert preserving priority order, FIFO within a priority class.
 fn enqueue(queue: &mut VecDeque<Queued>, q: Queued) {
     let pos = queue
@@ -356,20 +382,6 @@ fn enqueue(queue: &mut VecDeque<Queued>, q: Queued) {
         .position(|e| e.query.priority < q.query.priority)
         .unwrap_or(queue.len());
     queue.insert(pos, q);
-}
-
-/// Settle a refused query: record the typed shed and push its outcome.
-fn reject(
-    obs: &mut Recorder,
-    outcomes: &mut Vec<(QueryId, Outcome)>,
-    id: QueryId,
-    query: &JoinQuery,
-    clock: Ns,
-    reason: RejectReason,
-) {
-    obs.shed(id, query, clock, &reason);
-    let name = query.name.clone();
-    outcomes.push((id, Outcome::Rejected { id, name, reason }));
 }
 
 /// Revocation victim: the lowest-priority reservation holder, breaking
@@ -382,6 +394,13 @@ fn victim_index(running: &[Running]) -> Option<usize> {
         .filter(|(_, r)| r.reservation.reserved.0 > 0)
         .min_by_key(|(_, r)| (r.query.priority, Reverse(r.id)))
         .map(|(i, _)| i)
+}
+
+/// The probe side's share of a query's input bytes.
+fn probe_frac(query: &JoinQuery) -> f64 {
+    let r_bytes = query.workload.r.len() as u64 * TUPLE_BYTES;
+    let s_bytes = query.workload.s.len() as u64 * TUPLE_BYTES;
+    s_bytes as f64 / (r_bytes + s_bytes).max(1) as f64
 }
 
 /// The multi-query join scheduler.
@@ -408,15 +427,78 @@ impl Scheduler {
     /// Fully deterministic: the same queries and the same plan (seed
     /// included) produce identical outcomes and metrics.
     pub fn run_with_faults(&self, queries: Vec<JoinQuery>, plan: &FaultPlan) -> ServeResult {
-        let mut arrivals: Vec<(QueryId, JoinQuery)> = queries
-            .into_iter()
-            .enumerate()
-            .map(|(i, q)| (QueryId(i as u64), q))
-            .collect();
-        // Stable by arrival time (total order — NaN arrivals cannot
-        // scramble the timeline); ids preserve submission order.
+        let mut run = Run {
+            hw: &self.hw,
+            config: &self.config,
+            clock: Ns::ZERO,
+            queue: VecDeque::new(),
+            running: Vec::new(),
+            admission: AdmissionController::new(&self.hw),
+            cache: BuildCache::new(),
+            costs: CostCache::new(self.config.cost_caching),
+            outcomes: Vec::new(),
+            obs: Recorder::new(FLIGHT_CAPACITY),
+        };
+        // A NaN or infinite arrival never comes due on the timeline: it
+        // is refused at intake, so every submission still settles.
+        let mut arrivals = Vec::with_capacity(queries.len());
+        for (i, q) in queries.into_iter().enumerate() {
+            let id = QueryId(i as u64);
+            if q.arrival.0.is_finite() {
+                arrivals.push((id, q));
+            } else {
+                let reason = RejectReason::InvalidArrival { arrival: q.arrival };
+                run.reject(id, &q, reason);
+            }
+        }
+        // Stable by arrival time; ids preserve submission order.
         arrivals.sort_by(|a, b| a.1.arrival.0.total_cmp(&b.1.arrival.0));
+        run.drive(arrivals.into(), plan)
+    }
+}
 
+/// One serving run's state. Its methods are the event loop and the
+/// decisions it makes at each event: admission, recovery, and
+/// shrink-in-place.
+struct Run<'a> {
+    hw: &'a HwConfig,
+    config: &'a SchedulerConfig,
+    clock: Ns,
+    queue: VecDeque<Queued>,
+    running: Vec<Running>,
+    admission: AdmissionController,
+    cache: BuildCache,
+    costs: CostCache,
+    outcomes: Vec<(QueryId, Outcome)>,
+    obs: Recorder,
+}
+
+impl Run<'_> {
+    /// Settle a refused query: record the typed shed and push its outcome.
+    fn reject(&mut self, id: QueryId, query: &JoinQuery, reason: RejectReason) {
+        self.obs.shed(id, query, self.clock, &reason);
+        let name = query.name.clone();
+        self.outcomes
+            .push((id, Outcome::Rejected { id, name, reason }));
+    }
+
+    /// Give back what an attempt holds: its memory reservation, then its
+    /// pin on the build cache.
+    fn release(&mut self, id: QueryId, query: &JoinQuery) {
+        let _ = self.admission.release(id);
+        if let Some(k) = query.build_key {
+            self.cache
+                .release_range(k, query.build_range.unwrap_or(FULL_RANGE));
+        }
+    }
+
+    /// The event loop: replay `plan`, land `arrivals` (sorted by time),
+    /// admit, arbitrate, and advance until every query has an outcome.
+    fn drive(
+        mut self,
+        mut arrivals: VecDeque<(QueryId, JoinQuery)>,
+        plan: &FaultPlan,
+    ) -> ServeResult {
         let retirements = plan.retirements();
         let kernel_faults = plan.kernel_faults();
         let transitions = plan.transitions();
@@ -424,63 +506,37 @@ impl Scheduler {
         let mut next_kfault = 0usize;
         let mut next_transition = 0usize;
 
-        let mut obs = Recorder::new(self.config.flight_capacity);
-        let mut admission = AdmissionController::new(&self.hw);
-        let mut cache = BuildCache::new();
-        let mut costs = CostCache::new(self.config.cost_caching);
-        let mut queue: VecDeque<Queued> = VecDeque::new();
-        let mut running: Vec<Running> = Vec::new();
-        let mut outcomes: Vec<(QueryId, Outcome)> = Vec::new();
-        let mut clock = Ns::ZERO;
-        let mut arrivals: VecDeque<(QueryId, JoinQuery)> = arrivals.into();
-
         loop {
+            let clock = self.clock;
             // --- Fault events due at this instant.
             while next_retire < retirements.len() && retirements[next_retire].0 .0 <= clock.0 {
                 let (_, bytes) = retirements[next_retire];
                 next_retire += 1;
-                let before = admission.capacity();
-                admission.retire(bytes);
-                let retired_now = before.saturating_sub(admission.capacity());
+                let before = self.admission.capacity();
+                self.admission.retire(bytes);
+                let retired_now = before.saturating_sub(self.admission.capacity());
                 // The retired pages tear resident partitioned builds:
                 // trip the circuit breaker so followers rebuild instead
                 // of sharing stale state. Memoized pricings go with them
                 // (the capacity change alters future grants; a wholesale
                 // flush keeps the invalidation story uniform).
-                let quarantined = cache.quarantine_all() as u64;
-                costs.flush();
-                obs.ecc_retirement(clock, retired_now, quarantined);
+                let quarantined = self.cache.quarantine_all() as u64;
+                self.costs.flush();
+                self.obs.ecc_retirement(clock, retired_now, quarantined);
                 // Shrink-in-place rungs: before revoking anyone, reclaim
                 // running queries' optional cache shares — each a priced,
                 // traced revision — until the shrunk device fits its
                 // reservations again or no cache grant is left to take.
-                if self.config.resilience.enabled && self.config.resilience.elastic.enabled {
-                    self.reclaim_cache(
-                        |a| a.overcommitted(),
-                        "ecc-retirement",
-                        clock,
-                        &mut running,
-                        &mut admission,
-                        &mut costs,
-                        &mut obs,
-                    );
+                if self.config.resilience.elastic() {
+                    self.reclaim_cache(|a| a.overcommitted(), "ecc-retirement");
                 }
                 // Revoke reservations until the shrunk device fits them.
-                while admission.overcommitted().0 > 0 {
-                    let Some(vi) = victim_index(&running) else {
+                while self.admission.overcommitted().0 > 0 {
+                    let Some(vi) = victim_index(&self.running) else {
                         break;
                     };
-                    let victim = running.swap_remove(vi);
-                    self.recover_or_shed(
-                        victim,
-                        FaultCause::Revoked,
-                        clock,
-                        &mut queue,
-                        &mut admission,
-                        &mut cache,
-                        &mut outcomes,
-                        &mut obs,
-                    );
+                    let victim = self.running.swap_remove(vi);
+                    self.recover_or_shed(victim, FaultCause::Revoked);
                 }
             }
             while next_kfault < kernel_faults.len() && kernel_faults[next_kfault].0 <= clock.0 {
@@ -489,7 +545,8 @@ impl Scheduler {
                 // Deterministic victim among GPU-resident queries: rank
                 // by id, pick by a seed-derived roll. An idle GPU means
                 // the fault fizzles.
-                let mut ids: Vec<QueryId> = running
+                let mut ids: Vec<QueryId> = self
+                    .running
                     .iter()
                     .filter(|r| r.uses_gpu)
                     .map(|r| r.id)
@@ -500,60 +557,43 @@ impl Scheduler {
                 ids.sort_unstable();
                 let pick =
                     ids[(splitmix64(plan.seed ^ 0xC0DE ^ strike) % ids.len() as u64) as usize];
-                let Some(vi) = running.iter().position(|r| r.id == pick) else {
+                let Some(vi) = self.running.iter().position(|r| r.id == pick) else {
                     continue;
                 };
-                obs.fault(
+                self.obs.fault(
                     "kernel-fault",
                     clock,
                     vec![Attr::str("victim", pick.to_string())],
                 );
-                let victim = running.swap_remove(vi);
-                self.recover_or_shed(
-                    victim,
-                    FaultCause::Transient,
-                    clock,
-                    &mut queue,
-                    &mut admission,
-                    &mut cache,
-                    &mut outcomes,
-                    &mut obs,
-                );
+                let victim = self.running.swap_remove(vi);
+                self.recover_or_shed(victim, FaultCause::Transient);
             }
 
             // --- Admit while memory and the concurrency cap allow.
-            self.admit_ready(
-                clock,
-                &mut queue,
-                &mut running,
-                &mut admission,
-                &mut cache,
-                &mut costs,
-                &mut outcomes,
-                &mut obs,
-            );
+            self.admit_ready();
 
             let next_arrival_at = arrivals.front().map(|(_, q)| q.arrival.0);
-            if running.is_empty() && next_arrival_at.is_none() {
+            if self.running.is_empty() && next_arrival_at.is_none() {
                 // Sleeping retries may still wake; jump to the earliest.
-                let next_wake = queue
+                let next_wake = self
+                    .queue
                     .iter()
                     .map(|q| q.eligible_at.0)
                     .filter(|&t| t > clock.0)
                     .fold(f64::INFINITY, f64::min);
                 if next_wake.is_finite() {
-                    clock = Ns(next_wake);
+                    self.clock = Ns(next_wake);
                     continue;
                 }
                 // Anything still queued can never start (no completions
                 // left to free memory): shed it as over-capacity backlog.
-                while let Some(q) = queue.pop_front() {
-                    let floor = AdmissionController::min_reserve(&q.query, &self.hw);
+                while let Some(q) = self.queue.pop_front() {
+                    let floor = AdmissionController::min_reserve(&q.query, self.hw);
                     let reason = RejectReason::OverCapacity {
                         needed: floor,
-                        capacity: admission.capacity(),
+                        capacity: self.admission.capacity(),
                     };
-                    reject(&mut obs, &mut outcomes, q.id, &q.query, clock, reason);
+                    self.reject(q.id, &q.query, reason);
                 }
                 break;
             }
@@ -563,36 +603,38 @@ impl Scheduler {
             // between fault transitions, which bound every step below).
             let link_factor = plan.link_factor(clock);
             let cpu_factor = plan.cpu_factor(clock);
-            let loads: Vec<ResourceVector> = running
+            let loads: Vec<ResourceVector> = self
+                .running
                 .iter()
                 .map(|r| degraded_vector(r.demand, link_factor, cpu_factor))
                 .collect();
-            let weights: Vec<f64> = running.iter().map(|r| r.weight).collect();
+            let weights: Vec<f64> = self.running.iter().map(|r| r.weight).collect();
             let rates = fair_share_rates(&loads, &weights);
 
             // --- Gauge observation at this decision point: allocator
             // occupancy plus aggregate utilization priced off the same
             // arbitrated rates that drive the fluid state.
             let util = aggregate_utilization(&loads, &rates);
-            obs.sample_gauges(
+            self.obs.sample_gauges(
                 clock,
                 &GaugeSample {
-                    gpu_used: admission.reserved(),
-                    gpu_capacity: admission.capacity(),
-                    gpu_requested: admission.requested(),
-                    gpu_fragmentation: admission.fragmentation(),
-                    gpu_occupancy_ppm: admission.occupancy_ppm(),
+                    gpu_used: self.admission.reserved(),
+                    gpu_capacity: self.admission.capacity(),
+                    gpu_requested: self.admission.requested(),
+                    gpu_fragmentation: self.admission.fragmentation(),
+                    gpu_occupancy_ppm: self.admission.occupancy_ppm(),
                     link_util_ppm: utilization_ppm(util.link),
                     sm_util_ppm: utilization_ppm(util.compute),
                     gpu_mem_util_ppm: utilization_ppm(util.gpu_mem),
                     cpu_util_ppm: utilization_ppm(util.cpu),
-                    running: running.len() as u64,
-                    queued: queue.len() as u64,
+                    running: self.running.len() as u64,
+                    queued: self.queue.len() as u64,
                 },
             );
 
             // --- Time to the next event.
-            let t_complete = running
+            let t_complete = self
+                .running
                 .iter()
                 .zip(&rates)
                 .map(|(r, &s)| r.remaining / s.max(1e-12))
@@ -604,7 +646,7 @@ impl Scheduler {
             // retry wakes still fire on time and drain whatever is due.
             // An idle machine (or batch = 1) wakes on the very next
             // arrival — the classic loop, reproduced exactly.
-            let t_arrival = if self.config.arrival_batch > 1 && !running.is_empty() {
+            let t_arrival = if self.config.arrival_batch > 1 && !self.running.is_empty() {
                 let k = self.config.arrival_batch.min(arrivals.len());
                 arrivals
                     .get(k.saturating_sub(1))
@@ -618,7 +660,8 @@ impl Scheduler {
             let t_fault = transitions
                 .get(next_transition)
                 .map_or(f64::INFINITY, |t| t.0 - clock.0);
-            let t_wake = queue
+            let t_wake = self
+                .queue
                 .iter()
                 .map(|q| q.eligible_at.0 - clock.0)
                 .filter(|&d| d > 0.0)
@@ -630,9 +673,10 @@ impl Scheduler {
             }
 
             // --- Advance the fluid state.
-            obs.advance(dt, running.len());
-            clock += Ns(dt);
-            for (r, &s) in running.iter_mut().zip(&rates) {
+            self.obs.advance(dt, self.running.len());
+            self.clock += Ns(dt);
+            let clock = self.clock;
+            for (r, &s) in self.running.iter_mut().zip(&rates) {
                 r.remaining = (r.remaining - dt * s).max(0.0);
             }
 
@@ -646,17 +690,17 @@ impl Scheduler {
                 let Some((id, query)) = arrivals.pop_front() else {
                     break;
                 };
-                if queue.len() >= self.config.max_queue {
+                if self.queue.len() >= self.config.max_queue {
                     let reason = RejectReason::QueueFull {
                         limit: self.config.max_queue,
                     };
-                    reject(&mut obs, &mut outcomes, id, &query, clock, reason);
+                    self.reject(id, &query, reason);
                     continue;
                 }
-                obs.enqueue(id, &query, query.arrival);
+                self.obs.enqueue(id, &query, query.arrival);
                 let eligible_at = query.arrival;
                 enqueue(
-                    &mut queue,
+                    &mut self.queue,
                     Queued {
                         id,
                         query,
@@ -669,13 +713,10 @@ impl Scheduler {
 
             // --- Completions.
             let mut i = 0;
-            while i < running.len() {
-                if running[i].remaining <= 1e-9 {
-                    let r = running.swap_remove(i);
-                    let _ = admission.release(r.id);
-                    if let Some(k) = r.query.build_key {
-                        cache.release_range(k, r.query.build_range.unwrap_or(FULL_RANGE));
-                    }
+            while i < self.running.len() {
+                if self.running[i].remaining <= 1e-9 {
+                    let r = self.running.swap_remove(i);
+                    self.release(r.id, &r.query);
                     let c = CompletedQuery {
                         id: r.id,
                         name: r.query.name.clone(),
@@ -689,18 +730,22 @@ impl Scheduler {
                         operator: r.op_label,
                         fault: r.fault,
                     };
-                    obs.complete(&c, r.query.deadline, &self.hw);
-                    outcomes.push((c.id, Outcome::Completed(Box::new(c))));
+                    self.obs.complete(&c, r.query.deadline, self.hw);
+                    self.outcomes.push((c.id, Outcome::Completed(Box::new(c))));
                 } else {
                     i += 1;
                 }
             }
         }
 
+        let mut outcomes = self.outcomes;
         outcomes.sort_by_key(|(id, _)| *id);
         let outcomes: Vec<Outcome> = outcomes.into_iter().map(|(_, o)| o).collect();
-        let (trace, telemetry, slo, metrics) =
-            obs.finish(clock, admission.peak_reserved, admission.initial_capacity());
+        let (trace, telemetry, slo, metrics) = self.obs.finish(
+            self.clock,
+            self.admission.peak_reserved,
+            self.admission.initial_capacity(),
+        );
         ServeResult {
             outcomes,
             metrics,
@@ -711,104 +756,64 @@ impl Scheduler {
     }
 
     /// Recover a faulted in-flight query (retry / shrink / downgrade per
-    /// the resilience config) or shed it with a typed reason. The
+    /// the resilience policy) or shed it with a typed reason. The
     /// victim's reservation and cache pin are released either way; its
     /// partial work is lost and a recovered attempt restarts from
     /// scratch.
-    #[allow(clippy::too_many_arguments)]
-    fn recover_or_shed(
-        &self,
-        victim: Running,
-        cause: FaultCause,
-        clock: Ns,
-        queue: &mut VecDeque<Queued>,
-        admission: &mut AdmissionController,
-        cache: &mut BuildCache,
-        outcomes: &mut Vec<(QueryId, Outcome)>,
-        obs: &mut Recorder,
-    ) {
-        let _ = admission.release(victim.id);
-        if let Some(k) = victim.query.build_key {
-            cache.release_range(k, victim.query.build_range.unwrap_or(FULL_RANGE));
-        }
-        let mut query = victim.query;
-        let mut fault = victim.fault;
-        let mut attempts = victim.attempts_at_rung;
+    fn recover_or_shed(&mut self, victim: Running, cause: FaultCause) {
+        let clock = self.clock;
+        self.release(victim.id, &victim.query);
+        let mut q = Queued {
+            id: victim.id,
+            query: victim.query,
+            eligible_at: clock,
+            fault: victim.fault,
+            attempts_at_rung: victim.attempts_at_rung,
+        };
         match cause {
             FaultCause::Transient => {
-                fault.retries += 1;
-                attempts += 1;
+                q.fault.retries += 1;
+                q.attempts_at_rung += 1;
             }
             FaultCause::Revoked => {
-                fault.revocations += 1;
-                obs.revoked(victim.id, clock);
+                q.fault.revocations += 1;
+                self.obs.revoked(q.id, clock);
             }
         }
-        if !self.config.resilience.enabled {
+        if !self.config.resilience.recovers() {
             let reason = RejectReason::Faulted {
                 fault: cause.label().to_string(),
-                retries: fault.retries,
+                retries: q.fault.retries,
             };
-            reject(obs, outcomes, victim.id, &query, clock, reason);
+            self.reject(q.id, &q.query, reason);
             return;
         }
-        let retry = &self.config.resilience.retry;
         match cause {
             // First revocation: retry on the same rung asking for less
             // optional cache. Repeat offenders descend the ladder.
             FaultCause::Revoked => {
-                if fault.revocations <= 1 {
-                    fault.grant_shrinks += 1;
-                } else if let Some(op) = downgrade_operator(&query.op) {
-                    let from = query.op.label();
-                    query.op = op;
-                    fault.downgrades += 1;
-                    attempts = 0;
-                    obs.downgrade(
-                        victim.id,
-                        clock,
-                        from,
-                        query.op.label(),
-                        "repeat-revocation",
-                    );
+                if q.fault.revocations <= 1 {
+                    q.fault.grant_shrinks += 1;
+                } else {
+                    q.descend(&mut self.obs, clock, "repeat-revocation");
                 }
             }
             // Retries exhausted on this rung: descend.
             FaultCause::Transient => {
-                if attempts > retry.max_retries {
-                    if let Some(op) = downgrade_operator(&query.op) {
-                        let from = query.op.label();
-                        query.op = op;
-                        fault.downgrades += 1;
-                        attempts = 0;
-                        obs.downgrade(
-                            victim.id,
-                            clock,
-                            from,
-                            query.op.label(),
-                            "retries-exhausted",
-                        );
-                    }
+                if q.attempts_at_rung > MAX_RETRIES {
+                    q.descend(&mut self.obs, clock, "retries-exhausted");
                 }
             }
         }
         // Back off before re-admission, spending at most the remaining
         // deadline budget (a wake past the deadline is a guaranteed
         // shed).
-        let attempt = fault.retries + fault.revocations - 1;
-        let slack = query.deadline.map(|d| d - (clock - query.arrival));
-        let delay = retry.backoff_within(victim.id, attempt, slack);
-        obs.retry(victim.id, clock, cause.label(), attempt, delay);
-        enqueue(
-            queue,
-            Queued {
-                id: victim.id,
-                query,
-                eligible_at: clock + delay,
-                fault,
-                attempts_at_rung: attempts,
-            },
-        );
+        let attempt = q.fault.retries + q.fault.revocations - 1;
+        let slack = q.query.deadline.map(|d| d - (clock - q.query.arrival));
+        let delay = backoff(q.id, attempt, slack);
+        self.obs.retry(q.id, clock, cause.label(), attempt, delay);
+        q.eligible_at = clock + delay;
+        enqueue(&mut self.queue, q);
     }
 
     /// Shrink-in-place: reclaim optional cache from running queries —
@@ -819,27 +824,22 @@ impl Scheduler {
     /// traced as a `grant-revision` event, and re-prices the victim's
     /// remaining work under its revised grant; the victim's *answer*
     /// cannot change (a cache budget only moves placement and time).
-    #[allow(clippy::too_many_arguments)]
     fn reclaim_cache(
-        &self,
+        &mut self,
         need: impl Fn(&AdmissionController) -> Bytes,
         reason: &'static str,
-        clock: Ns,
-        running: &mut [Running],
-        admission: &mut AdmissionController,
-        costs: &mut CostCache,
-        obs: &mut Recorder,
     ) {
-        let max_rev = self.config.resilience.elastic.max_revisions;
+        let clock = self.clock;
         loop {
-            let missing = need(admission);
+            let missing = need(&self.admission);
             if missing.0 == 0 {
                 break;
             }
-            let Some(vi) = running
+            let Some(vi) = self
+                .running
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| r.reservation.cache_grant.0 > 0 && r.revisions < max_rev)
+                .filter(|(_, r)| r.reservation.cache_grant.0 > 0 && r.revisions < MAX_REVISIONS)
                 .min_by_key(|(_, r)| {
                     (
                         r.query.priority,
@@ -851,14 +851,17 @@ impl Scheduler {
             else {
                 break;
             };
-            let r = &mut running[vi];
+            let r = &mut self.running[vi];
             let ask = missing.min(r.reservation.cache_grant);
-            let out = match admission.revise(r.id, GrantRevision::Shrink(ask), &self.hw) {
+            let out = match self
+                .admission
+                .revise(r.id, GrantRevision::Shrink(ask), self.hw)
+            {
                 Ok(out) if out.delta.0 > 0 => out,
                 // Nothing movable on this victim: exhaust it so the
                 // search cannot pick it again and spin.
                 _ => {
-                    r.revisions = max_rev;
+                    r.revisions = MAX_REVISIONS;
                     continue;
                 }
             };
@@ -869,13 +872,11 @@ impl Scheduler {
             // and timing change, the answer cannot. Re-pricings go
             // through the memo too: a repeat shrink to a grant already
             // priced replays the identical report.
-            let (priced, pricing) = costs.price(&r.query, &out.grant, &self.hw);
-            obs.cost_cache(pricing, clock);
+            let (priced, pricing) = self.costs.price(&r.query, &out.grant, self.hw);
+            self.obs.cost_cache(pricing, clock);
             if let Ok(rep) = priced {
-                let r_bytes = r.query.workload.r.len() as u64 * TUPLE_BYTES;
-                let s_bytes = r.query.workload.s.len() as u64 * TUPLE_BYTES;
-                let probe_frac = s_bytes as f64 / (r_bytes + s_bytes).max(1) as f64;
-                let demand = ResourceDemand::from_report(&rep, r.build_cache_hit, probe_frac);
+                let demand =
+                    ResourceDemand::from_report(&rep, r.build_cache_hit, probe_frac(&r.query));
                 let frac = if r.dedicated.0 > 0.0 {
                     (r.remaining / r.dedicated.0).clamp(0.0, 1.0)
                 } else {
@@ -891,48 +892,32 @@ impl Scheduler {
                 // the reclaim time.
                 r.remaining += out.reclaim.0;
             }
-            obs.revise(
-                r.id,
-                &r.query,
-                clock,
-                "shrink",
-                out.delta,
-                out.grant.reserved,
-                out.reclaim,
-                reason,
-            );
+            self.obs.revise(r.id, &r.query, clock, &out, reason);
         }
     }
 
     /// Admit queued queries in priority order while memory, the
     /// concurrency cap, and deadlines allow. Entries sleeping out a
     /// retry backoff are skipped until eligible.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_ready(
-        &self,
-        clock: Ns,
-        queue: &mut VecDeque<Queued>,
-        running: &mut Vec<Running>,
-        admission: &mut AdmissionController,
-        cache: &mut BuildCache,
-        costs: &mut CostCache,
-        outcomes: &mut Vec<(QueryId, Outcome)>,
-        obs: &mut Recorder,
-    ) {
-        'admit: while running.len() < self.config.max_inflight {
+    fn admit_ready(&mut self) {
+        let (clock, hw) = (self.clock, self.hw);
+        let recovers = self.config.resilience.recovers();
+        'admit: while self.running.len() < self.config.max_inflight {
             // Highest-priority eligible entry (sleepers excluded).
-            let Some(pos) = queue.iter().position(|q| q.eligible_at.0 <= clock.0) else {
+            let Some(pos) = self.queue.iter().position(|q| q.eligible_at.0 <= clock.0) else {
                 break;
             };
 
             // Deadline shedding: a query whose budget is already spent
             // queueing will miss it regardless — drop it now.
-            if let Some(deadline) = queue[pos].query.deadline {
-                let waited = clock - queue[pos].query.arrival;
+            if let Some(deadline) = self.queue[pos].query.deadline {
+                let waited = clock - self.queue[pos].query.arrival;
                 if waited.0 > deadline.0 {
-                    let Some(q) = queue.remove(pos) else { continue };
+                    let Some(q) = self.queue.remove(pos) else {
+                        continue;
+                    };
                     let reason = RejectReason::DeadlineExceeded { deadline, waited };
-                    reject(obs, outcomes, q.id, &q.query, clock, reason);
+                    self.reject(q.id, &q.query, reason);
                     continue;
                 }
             }
@@ -943,37 +928,35 @@ impl Scheduler {
             // always terminates. A query too big for the *pristine*
             // machine is shed with the typed reason as always.
             loop {
-                let floor = AdmissionController::min_reserve(&queue[pos].query, &self.hw);
-                if floor <= admission.capacity() {
+                let floor = AdmissionController::min_reserve(&self.queue[pos].query, hw);
+                if floor <= self.admission.capacity() {
                     break;
                 }
-                let shrunk_by_fault = admission.capacity() < admission.initial_capacity();
-                if self.config.resilience.enabled && shrunk_by_fault {
-                    if let Some(op) = downgrade_operator(&queue[pos].query.op) {
-                        let from = queue[pos].query.op.label();
-                        queue[pos].query.op = op;
-                        queue[pos].fault.downgrades += 1;
-                        queue[pos].attempts_at_rung = 0;
-                        let (id, to) = (queue[pos].id, queue[pos].query.op.label());
-                        obs.downgrade(id, clock, from, to, "capacity-floor");
-                        continue;
-                    }
+                let shrunk_by_fault = self.admission.capacity() < self.admission.initial_capacity();
+                if recovers
+                    && shrunk_by_fault
+                    && self.queue[pos].descend(&mut self.obs, clock, "capacity-floor")
+                {
+                    continue;
                 }
-                let Some(q) = queue.remove(pos) else {
+                let Some(q) = self.queue.remove(pos) else {
                     continue 'admit;
                 };
                 let reason = RejectReason::OverCapacity {
                     needed: floor,
-                    capacity: admission.capacity(),
+                    capacity: self.admission.capacity(),
                 };
-                reject(obs, outcomes, q.id, &q.query, clock, reason);
+                self.reject(q.id, &q.query, reason);
                 continue 'admit;
             }
 
-            let shrink = queue[pos].fault.grant_shrinks;
-            let id = queue[pos].id;
+            let shrink = self.queue[pos].fault.grant_shrinks;
+            let id = self.queue[pos].id;
             let reservation =
-                match admission.try_admit_shrunk(id, &queue[pos].query, &self.hw, shrink) {
+                match self
+                    .admission
+                    .try_admit_shrunk(id, &self.queue[pos].query, hw, shrink)
+                {
                     Ok(r) => r,
                     Err(_) => {
                         // Backpressure: memory is busy. A query *without* a
@@ -984,83 +967,70 @@ impl Scheduler {
                         // policy a deadline-holding arrival cannot afford
                         // the wait: it reclaims running queries' optional
                         // cache down to its own floor and retries once.
-                        let elastic = self.config.resilience.enabled
-                            && self.config.resilience.elastic.enabled;
-                        if !(elastic && queue[pos].query.deadline.is_some()) {
+                        if !(self.config.resilience.elastic()
+                            && self.queue[pos].query.deadline.is_some())
+                        {
                             break;
                         }
-                        let floor = AdmissionController::min_reserve(&queue[pos].query, &self.hw);
+                        let floor = AdmissionController::min_reserve(&self.queue[pos].query, hw);
                         self.reclaim_cache(
                             |a| floor.saturating_sub(a.available()),
                             "burst-admission",
-                            clock,
-                            running,
-                            admission,
-                            costs,
-                            obs,
                         );
-                        match admission.try_admit_shrunk(id, &queue[pos].query, &self.hw, shrink) {
+                        match self.admission.try_admit_shrunk(
+                            id,
+                            &self.queue[pos].query,
+                            hw,
+                            shrink,
+                        ) {
                             Ok(r) => r,
                             Err(_) => break,
                         }
                     }
                 };
-            let Some(mut q) = queue.remove(pos) else {
+            let Some(mut q) = self.queue.remove(pos) else {
                 // Unreachable (pos indexes a live entry); stop admitting
                 // rather than panic with the reservation held.
-                let _ = admission.release(id);
+                let _ = self.admission.release(id);
                 break;
             };
 
             // Build-side sharing: exact builds hit as always, and a
             // query over a sub-range of a resident build of the same
             // family rides the covering state ([`crate::BuildHit`]).
-            let r_bytes = q.query.workload.r.len() as u64 * TUPLE_BYTES;
-            let s_bytes = q.query.workload.s.len() as u64 * TUPLE_BYTES;
-            let range = q.query.build_range.unwrap_or(FULL_RANGE);
             let hit = match q.query.build_key {
                 Some(k) => {
-                    let served = cache.acquire_range(k, r_bytes, range);
-                    obs.build_cache(served, clock);
+                    let r_bytes = q.query.workload.r.len() as u64 * TUPLE_BYTES;
+                    let range = q.query.build_range.unwrap_or(FULL_RANGE);
+                    let served = self.cache.acquire_range(k, r_bytes, range);
+                    self.obs.build_cache(served, clock);
                     served.is_hit()
                 }
                 None => false,
             };
-            let probe_frac = s_bytes as f64 / (r_bytes + s_bytes).max(1) as f64;
 
             // Functional dedicated run with the granted cache budget,
             // memoized: a repeat (workload, grant) pricing replays the
             // byte-identical report instead of re-running the operator.
-            let (priced, pricing) = costs.price(&q.query, &reservation, &self.hw);
-            obs.cost_cache(pricing, clock);
+            let (priced, pricing) = self.costs.price(&q.query, &reservation, hw);
+            self.obs.cost_cache(pricing, clock);
             let report = match priced {
                 Ok(rep) => rep,
                 Err(e) => {
-                    let _ = admission.release(q.id);
-                    if let Some(k) = q.query.build_key {
-                        cache.release_range(k, range);
+                    self.release(q.id, &q.query);
+                    // OOM inside the operator: descend and retry
+                    // immediately (the radix floor never OOMs).
+                    if recovers && q.descend(&mut self.obs, clock, "oom") {
+                        q.eligible_at = clock;
+                        enqueue(&mut self.queue, q);
+                        continue;
                     }
-                    if self.config.resilience.enabled {
-                        if let Some(next) = downgrade_operator(&q.query.op) {
-                            // OOM inside the operator: descend and retry
-                            // immediately (the radix floor never OOMs).
-                            let from = q.query.op.label();
-                            q.query.op = next;
-                            q.fault.downgrades += 1;
-                            q.attempts_at_rung = 0;
-                            q.eligible_at = clock;
-                            obs.downgrade(q.id, clock, from, q.query.op.label(), "oom");
-                            enqueue(queue, q);
-                            continue;
-                        }
-                    }
-                    let reason = RejectReason::Oom(e);
-                    reject(obs, outcomes, q.id, &q.query, clock, reason);
+                    self.reject(q.id, &q.query, RejectReason::Oom(e));
                     continue;
                 }
             };
 
-            obs.admit(
+            self.obs.admit(
                 q.id,
                 clock,
                 q.query.op.label(),
@@ -1069,8 +1039,8 @@ impl Scheduler {
                 hit,
                 q.fault.grant_shrinks,
             );
-            let demand = ResourceDemand::from_report(&report, hit, probe_frac);
-            running.push(Running {
+            let demand = ResourceDemand::from_report(&report, hit, probe_frac(&q.query));
+            self.running.push(Running {
                 id: q.id,
                 start: clock,
                 remaining: demand.work.0,

@@ -26,7 +26,6 @@
 //! [`Log2Histogram`] rather than per-query vectors.
 
 use triton_metrics::Log2Histogram;
-use triton_trace::json::push_str_lit;
 
 /// Default error budget: 1 % of deadline-holding queries may violate.
 pub const DEFAULT_ERROR_BUDGET_PPM: u64 = 10_000;
@@ -109,28 +108,6 @@ impl SloAccount {
         u64::try_from(burn).unwrap_or(u64::MAX)
     }
 
-    /// Deterministic JSON encoding with a fixed key order.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"tenant\":");
-        push_str_lit(&mut out, &self.tenant);
-        out.push_str(&format!(
-            ",\"completed\":{},\"shed\":{},\"slo_total\":{},\"slo_met\":{},\"attainment_ppm\":{},\"error_budget_ppm\":{},\"budget_burn_ppm\":{},\"grant_revisions\":{},\"latency_p50_ns\":{},\"latency_p99_ns\":{},\"latency_max_ns\":{}}}",
-            self.completed,
-            self.shed,
-            self.slo_total,
-            self.slo_met,
-            self.attainment_ppm(),
-            self.error_budget_ppm,
-            self.budget_burn_ppm(),
-            self.grant_revisions,
-            self.latency.value_at_percentile(50),
-            self.latency.value_at_percentile(99),
-            self.latency.max(),
-        ));
-        out
-    }
-
     /// One-line human summary.
     #[must_use]
     pub fn summary(&self) -> String {
@@ -186,31 +163,17 @@ mod tests {
     }
 
     #[test]
-    fn json_is_deterministic_and_complete() {
+    fn summary_is_deterministic_and_complete() {
         let mut a = SloAccount::new("cpu");
         a.completed = 3;
         a.latency.record(1000);
         a.latency.record(2000);
         a.latency.record(4000);
-        let json = a.to_json();
-        assert_eq!(json, a.clone().to_json());
-        for key in [
-            "\"tenant\":\"cpu\"",
-            "\"completed\":3",
-            "\"attainment_ppm\":1000000",
-            "\"latency_max_ns\":4000",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        assert_eq!(a, a.clone(), "equal accounts compare equal");
+        let summary = a.summary();
+        assert_eq!(summary, a.clone().summary());
+        for part in ["cpu: 3 completed", "SLO 0/0 (1000000 ppm)", "p99 "] {
+            assert!(summary.contains(part), "missing {part} in {summary}");
         }
-    }
-
-    #[test]
-    fn json_escapes_the_caller_supplied_tenant() {
-        let a = SloAccount::new(tenant_of("a\"b-1"));
-        let json = a.to_json();
-        assert!(
-            json.starts_with("{\"tenant\":\"a\\\"b\",\"completed\":0,"),
-            "tenant must be a well-formed JSON string: {json}"
-        );
     }
 }

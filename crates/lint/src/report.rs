@@ -1,9 +1,9 @@
 //! Report assembly: the per-file analyses roll up into one
 //! [`WorkspaceReport`] with text and JSON renderings. The JSON mode
-//! follows the workspace's bench conventions (`triton_bench::json`):
-//! JSON Lines, one object per row, stable key order.
+//! follows the workspace's conventions (`triton_trace::json`): JSON
+//! Lines, one object per row, stable key order.
 
-use triton_bench::json::JsonObject;
+use triton_trace::json::JsonObject;
 
 use crate::rules::{FileAnalysis, Finding, Rule, Waiver, ALL_RULES};
 

@@ -12,12 +12,11 @@
 //!   tracked as a run total plus fixed-width window deltas, with a
 //!   [`MetricsRegistry::reconcile`] check that window sums equal run
 //!   totals exactly;
-//! * [`MetricsRegistry::expose_text`] / [`MetricsRegistry::expose_json`]
-//!   — deterministic exposition formats pinned byte-for-byte by CI.
+//! * [`MetricsRegistry::expose_text`] — the deterministic exposition
+//!   format (totals, buckets, and windows) pinned byte-for-byte by CI.
 //!
-//! The crate depends only on `triton-trace` (for its JSON string
-//! escaper), the lowest crate of the stack, so any layer can be
-//! instrumented without dependency cycles: `triton-mem`
+//! The crate has no dependencies, so any layer can be instrumented
+//! without dependency cycles: `triton-mem`
 //! reports allocator occupancy, `triton-hw` prices utilization samples,
 //! `triton-exec` owns the registry and samples at scheduler decision
 //! points.

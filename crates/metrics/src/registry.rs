@@ -15,9 +15,9 @@
 //!
 //! All state lives in `BTreeMap`s keyed by metric name and window index;
 //! counter and histogram arithmetic is integer-only. Exposition
-//! ([`MetricsRegistry::expose_text`] / [`MetricsRegistry::expose_json`])
-//! iterates those maps, so two same-seed replays render byte-identical
-//! output — the property CI pins by `cmp`-ing two dumps.
+//! ([`MetricsRegistry::expose_text`]: every total, every bucket, and
+//! every window) iterates those maps, so two same-seed replays render
+//! byte-identical output — the property CI pins by `cmp`-ing two dumps.
 //!
 //! ## Reconciliation
 //!
@@ -29,7 +29,6 @@
 
 use crate::hist::Log2Histogram;
 use std::collections::BTreeMap;
-use triton_trace::json::push_str_lit;
 
 /// Last-value gauge with exact min/max/sample-count envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -273,59 +272,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Deterministic JSON exposition (totals only; windows are a test and
-    /// text-format concern). Metric names are code-controlled identifiers
-    /// but are escaped anyway for JSON safety.
-    pub fn expose_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"window_ns\":{}", self.window_ns));
-        out.push_str(",\"counters\":{");
-        push_entries(&mut out, self.counters.iter(), |out, (name, total)| {
-            push_str_lit(out, name);
-            out.push_str(&format!(":{total}"));
-        });
-        out.push_str("},\"gauges\":{");
-        push_entries(&mut out, self.gauges.iter(), |out, (name, g)| {
-            push_str_lit(out, name);
-            out.push_str(&format!(
-                ":{{\"last\":{},\"min\":{},\"max\":{},\"samples\":{}}}",
-                g.last, g.min, g.max, g.samples
-            ));
-        });
-        out.push_str("},\"histograms\":{");
-        push_entries(&mut out, self.hists.iter(), |out, (name, h)| {
-            push_str_lit(out, name);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.value_at_percentile(50),
-                h.value_at_percentile(99)
-            ));
-            push_entries(out, h.nonzero_buckets(), |out, (lower, n)| {
-                out.push_str(&format!("[{lower},{n}]"));
-            });
-            out.push_str("]}");
-        });
-        out.push_str("}}");
-        out
-    }
-}
-
-/// Comma-join helper for hand-rolled JSON.
-fn push_entries<I, T>(out: &mut String, entries: I, mut f: impl FnMut(&mut String, T))
-where
-    I: IntoIterator<Item = T>,
-{
-    for (i, e) in entries.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        f(out, e);
-    }
 }
 
 #[cfg(test)]
@@ -382,16 +328,12 @@ mod tests {
         let a = build();
         let b = build();
         assert_eq!(a.expose_text(), b.expose_text());
-        assert_eq!(a.expose_json(), b.expose_json());
         let text = a.expose_text();
         // BTreeMap order: a.count before b.count.
         let ia = text.find("counter a.count").unwrap();
         let ib = text.find("counter b.count").unwrap();
         assert!(ia < ib, "{text}");
         assert!(text.contains("window 1 histogram m.lat count=1"), "{text}");
-        let json = a.expose_json();
-        assert!(json.starts_with("{\"window_ns\":50,"), "{json}");
-        assert!(json.contains("\"m.lat\":{\"count\":1,"), "{json}");
     }
 
     #[test]

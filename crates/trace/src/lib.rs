@@ -33,6 +33,13 @@
 //! scheduler dumps the ring onto a dedicated trace track
 //! ([`FlightRecorder::dump`]), so every incident ships with the events
 //! that led up to it.
+//!
+//! # JSON
+//!
+//! [`json`] holds the workspace's one JSON writer: the string escaper
+//! and the [`json::JsonObject`] builder behind every machine-readable
+//! output above this crate (bench rows, lint reports, scheduler
+//! metrics).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

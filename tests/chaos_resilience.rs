@@ -140,11 +140,6 @@ fn chaos_runs_replay_byte_identically() {
             b.telemetry.expose_text(),
             "seed {seed}: telemetry text exposition diverged"
         );
-        assert_eq!(
-            a.telemetry.expose_json(),
-            b.telemetry.expose_json(),
-            "seed {seed}: telemetry JSON exposition diverged"
-        );
         assert_eq!(a.outcomes.len(), n);
         assert_eq!(
             a.metrics.completed + a.metrics.rejected,

@@ -229,3 +229,28 @@ fn shared_build_side_batches_probes() {
         assert_eq!(&c.report.result, exp, "{} wrong under sharing", c.name);
     }
 }
+
+/// A NaN or infinite arrival never comes due: it is refused at intake
+/// with a typed reason, and the run still settles every submission —
+/// including a NaN with its sign bit set, which sorts ahead of every
+/// finite time.
+#[test]
+fn non_finite_arrivals_are_rejected_at_intake() {
+    for bad in [f64::INFINITY, f64::NAN, -f64::NAN] {
+        let mut queries = tenants(2, 8);
+        queries[1].arrival = Ns(bad);
+        let res = Scheduler::new(hw(), SchedulerConfig::default()).run(queries);
+        assert_eq!(res.outcomes.len(), 2, "arrival {bad}: one outcome each");
+        assert!(
+            res.outcomes[0].completed().is_some(),
+            "arrival {bad}: the valid query must still complete"
+        );
+        match res.outcomes[1].rejection() {
+            Some(RejectReason::InvalidArrival { arrival }) => {
+                assert_eq!(arrival.0.to_bits(), bad.to_bits());
+            }
+            other => panic!("arrival {bad}: expected InvalidArrival, got {other:?}"),
+        }
+        assert_eq!(res.metrics.rejected, 1);
+    }
+}
