@@ -77,9 +77,6 @@ pub struct Row {
     /// Whether the registry's windowed rollups reconciled exactly with
     /// its run totals.
     pub reconciled: bool,
-    /// Host wall-clock spent on this point (ns; machine-dependent, not
-    /// covered by determinism checks).
-    pub wall_ns: u64,
     /// Operator pricings replayed from the cost memo.
     pub cost_cache_hits: u64,
     /// Operator pricings that had to run.
@@ -88,9 +85,6 @@ pub struct Row {
     pub cost_cache_hit_ppm: u64,
     /// Build-cache hits served from a *covering* build (prefix reuse).
     pub build_prefix_hits: u64,
-    /// Host scheduling overhead per submitted query (`wall_ns /
-    /// submitted`; machine-dependent, like `wall_ns`).
-    pub sched_overhead_ns: u64,
 }
 
 /// The pre-throughput trajectory at the committed scale (512):
@@ -222,10 +216,8 @@ fn measure(
     queries: Vec<JoinQuery>,
     plan: &FaultPlan,
 ) -> Row {
-    let t0 = std::time::Instant::now();
     let res =
         Scheduler::new(hw.clone(), SchedulerConfig::throughput()).run_with_faults(queries, plan);
-    let wall_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     let m = &res.metrics;
     let (slo_total, slo_met) = res
         .slo
@@ -257,7 +249,6 @@ fn measure(
         telemetry_completed: res.telemetry.counter("sched.completed"),
         exposition_bytes: res.telemetry.expose_text().len() as u64,
         reconciled: res.telemetry.reconcile().is_ok(),
-        wall_ns,
         cost_cache_hits: m.cost_cache_hits,
         cost_cache_misses: m.cost_cache_misses,
         cost_cache_hit_ppm: if m.cost_cache_hits + m.cost_cache_misses == 0 {
@@ -267,7 +258,6 @@ fn measure(
                 / u128::from(m.cost_cache_hits + m.cost_cache_misses)) as u64
         },
         build_prefix_hits: m.build_cache_prefix_hits,
-        sched_overhead_ns: wall_ns / (m.completed + m.rejected).max(1),
     }
 }
 
@@ -393,7 +383,7 @@ pub fn check(hw: &HwConfig, rows: &[Row]) -> Result<String, String> {
 /// Render the trajectory as a stable JSON document (fixed key order).
 pub fn to_json(hw: &HwConfig, rows: &[Row]) -> String {
     let config = JsonObject::new()
-        .str("schema", "triton-bench/fig-serve/v2")
+        .str("schema", "triton-bench/fig-serve/v3")
         .int("scale", hw.scale)
         .int("queries_per_point", QUERIES as u64)
         .num("deadline_service_times", DEADLINE_SERVICE_TIMES);
@@ -416,12 +406,10 @@ pub fn to_json(hw: &HwConfig, rows: &[Row]) -> String {
                 .int("telemetry_completed", r.telemetry_completed)
                 .int("exposition_bytes", r.exposition_bytes)
                 .bool("reconciled", r.reconciled)
-                .int("wall_ns", r.wall_ns)
                 .int("cost_cache_hits", r.cost_cache_hits)
                 .int("cost_cache_misses", r.cost_cache_misses)
                 .int("cost_cache_hit_ppm", r.cost_cache_hit_ppm)
                 .int("build_prefix_hits", r.build_prefix_hits)
-                .int("sched_overhead_ns", r.sched_overhead_ns)
         }),
     )
 }
@@ -445,7 +433,6 @@ pub fn print(hw: &HwConfig) -> Vec<Row> {
         "tenants",
         "cost hit%",
         "prefix",
-        "ovh (us)",
     ]);
     for r in &rows {
         t.row([
@@ -460,7 +447,6 @@ pub fn print(hw: &HwConfig) -> Vec<Row> {
             r.tenants.to_string(),
             format!("{:.1}", r.cost_cache_hit_ppm as f64 / 10_000.0),
             r.build_prefix_hits.to_string(),
-            format!("{:.1}", r.sched_overhead_ns as f64 / 1e3),
         ]);
     }
     t.print();
@@ -479,7 +465,7 @@ mod tests {
         check(&hw, &rows).expect("committed invariants must hold");
         assert!(check(&hw, &rows[1..]).is_err(), "a missing row fails");
         let json = to_json(&hw, &rows);
-        assert!(json.starts_with("{\"config\":{\"schema\":\"triton-bench/fig-serve/v2\","));
+        assert!(json.starts_with("{\"config\":{\"schema\":\"triton-bench/fig-serve/v3\","));
         // Every row carries exactly these columns, in this order.
         let columns = [
             "mix",
@@ -497,12 +483,10 @@ mod tests {
             "telemetry_completed",
             "exposition_bytes",
             "reconciled",
-            "wall_ns",
             "cost_cache_hits",
             "cost_cache_misses",
             "cost_cache_hit_ppm",
             "build_prefix_hits",
-            "sched_overhead_ns",
         ];
         let keys = crate::figs::row_keys(&json);
         assert_eq!(keys.len(), rows.len());

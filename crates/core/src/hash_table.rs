@@ -162,19 +162,21 @@ impl LinearProbeTable {
     }
 
     /// Probe for `key`: `(rid if found, slot accesses, slot index probed
-    /// first)`.
+    /// first)`. `u64::MAX` has no `key + 1` tag, is never stored, and so
+    /// always misses.
     pub fn probe(&self, key: u64) -> (Option<u64>, u32, usize) {
         let first = table_slot(key, self.bits);
+        let tag = key.checked_add(1);
         let mut s = first;
         let mut accesses = 0;
         loop {
             accesses += 1;
             let (k1, r) = self.slots[s];
-            if k1 == key + 1 {
-                return (Some(r), accesses, first);
-            }
             if k1 == 0 {
                 return (None, accesses, first);
+            }
+            if Some(k1) == tag {
+                return (Some(r), accesses, first);
             }
             s = (s + 1) & self.mask;
         }
@@ -205,7 +207,26 @@ pub struct PerfectArrayTable {
 }
 
 impl PerfectArrayTable {
-    /// Build from the build relation (keys must lie in `1..=n_max`).
+    /// The first of `keys` the table cannot hold, if any: a key outside
+    /// `1..=n_max`, or a repeat (each slot holds one row). [`Self::build`]
+    /// panics on the former and silently drops rows on the latter.
+    pub fn first_unfit_key(keys: &[u64], n_max: usize) -> Option<u64> {
+        let mut seen = vec![false; n_max];
+        keys.iter()
+            .copied()
+            .find(|&k| match Self::index(k).and_then(|i| seen.get_mut(i)) {
+                Some(taken) => std::mem::replace(taken, true),
+                None => true,
+            })
+    }
+
+    /// Dense index of `key`: `key - 1`, or `None` for key 0.
+    fn index(key: u64) -> Option<usize> {
+        usize::try_from(key.checked_sub(1)?).ok()
+    }
+
+    /// Build from the build relation (keys must lie in `1..=n_max`; see
+    /// [`Self::first_unfit_key`]).
     pub fn build(keys: &[u64], rids: &[u64], n_max: usize) -> Self {
         let mut t = PerfectArrayTable {
             rids: vec![0; n_max],
@@ -219,19 +240,17 @@ impl PerfectArrayTable {
         t
     }
 
-    /// Probe for `key`: exactly one access.
+    /// Probe for `key`: exactly one access. Keys outside `1..=n_max`
+    /// (0 included) miss.
     pub fn probe(&self, key: u64) -> Option<u64> {
-        let i = (key - 1) as usize;
-        if i < self.rids.len() && self.present[i] {
-            Some(self.rids[i])
-        } else {
-            None
-        }
+        let i = Self::index(key)?;
+        (*self.present.get(i)?).then(|| self.rids[i])
     }
 
-    /// Slot index of `key`.
-    pub fn slot(&self, key: u64) -> usize {
-        (key - 1) as usize
+    /// Slot index of `key` (past the table for a key above `n_max`);
+    /// `None` for key 0, which has no slot.
+    pub fn slot(&self, key: u64) -> Option<usize> {
+        Self::index(key)
     }
 
     /// Table size in bytes (16 bytes per dense slot).
@@ -304,7 +323,25 @@ mod tests {
         assert_eq!(t.probe(4), Some(40));
         assert_eq!(t.probe(5), None);
         assert_eq!(t.probe(6), None);
+        assert_eq!(t.probe(0), None);
+        assert_eq!(t.probe(u64::MAX), None);
+        assert_eq!(t.slot(0), None);
         assert_eq!(t.bytes(), 96);
+    }
+
+    #[test]
+    fn perfect_table_names_keys_it_cannot_hold() {
+        assert_eq!(PerfectArrayTable::first_unfit_key(&[3, 1, 2], 3), None);
+        assert_eq!(PerfectArrayTable::first_unfit_key(&[7], 1), Some(7));
+        assert_eq!(PerfectArrayTable::first_unfit_key(&[0, 1], 2), Some(0));
+        assert_eq!(PerfectArrayTable::first_unfit_key(&[2, 1, 2], 3), Some(2));
+    }
+
+    #[test]
+    fn linear_probe_misses_the_untaggable_key() {
+        let keys: Vec<u64> = (1..=8).collect();
+        let (t, _) = LinearProbeTable::build(&keys, &keys, 0.5);
+        assert_eq!(t.probe(u64::MAX).0, None);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   doubles, crossing that limit first and collapsing throughput by
 //!   >100x (Fig 13/14).
 
-use triton_datagen::{Workload, TUPLE_BYTES};
+use triton_datagen::{Relation, Workload, TUPLE_BYTES};
 use triton_hw::kernel::KernelCost;
 use triton_hw::link::LinkModel;
 use triton_hw::power::Executor;
@@ -86,6 +86,21 @@ impl NoPartitioningJoin {
                 // Not used by the NPJ; sized like perfect plus chains.
                 n as u64 * (TUPLE_BYTES + 4)
             }
+        }
+    }
+
+    /// The first build key this configuration cannot hold, if any. The
+    /// array table (`Perfect`, and `BucketChaining`, which routes to it)
+    /// needs distinct keys in `1..=|R|`; linear probing tags slots with
+    /// `key + 1`, so it cannot store `u64::MAX`. [`Self::run`] panics on
+    /// such a key (or drops repeated rows), so callers that take arbitrary
+    /// relations check here first.
+    pub fn unfit_build_key(&self, r: &Relation) -> Option<u64> {
+        match self.scheme {
+            HashScheme::Perfect | HashScheme::BucketChaining => {
+                PerfectArrayTable::first_unfit_key(&r.keys, r.len())
+            }
+            HashScheme::LinearProbing => r.keys.iter().copied().find(|&k| k == u64::MAX),
         }
     }
 
@@ -179,8 +194,9 @@ impl NoPartitioningJoin {
                     };
                     for (i, &k) in w.r.keys.iter().enumerate() {
                         ctx.seq_read(&input_span, i as u64 * TUPLE_BYTES, TUPLE_BYTES);
-                        let slot = table.slot(k);
-                        ctx.scatter_write(&table_span, slot as u64 * TUPLE_BYTES, TUPLE_BYTES);
+                        if let Some(slot) = table.slot(k) {
+                            ctx.scatter_write(&table_span, slot as u64 * TUPLE_BYTES, TUPLE_BYTES);
+                        }
                         ctx.cost.instructions += BUILD_INSTR;
                     }
                 }
@@ -196,8 +212,11 @@ impl NoPartitioningJoin {
                     };
                     for (i, (&k, &srid)) in w.s.keys.iter().zip(&w.s.rids).enumerate() {
                         ctx.seq_read(&input_span, i as u64 * TUPLE_BYTES, TUPLE_BYTES);
-                        let slot = table.slot(k);
-                        ctx.random_read(&table_span, slot as u64 * TUPLE_BYTES, TUPLE_BYTES);
+                        // Key 0 has no slot: the probe misses without a
+                        // table read.
+                        if let Some(slot) = table.slot(k) {
+                            ctx.random_read(&table_span, slot as u64 * TUPLE_BYTES, TUPLE_BYTES);
+                        }
                         ctx.cost.instructions += PROBE_INSTR;
                         if let Some(rrid) = table.probe(k) {
                             result.add(rrid, srid);

@@ -16,23 +16,56 @@
 //! batches share `R` and a spec but differ in `S`, and must not
 //! collide), the workload spec, and the granted operator's full
 //! configuration (cache grant included — the same query under a
-//! different grant runs a different placement). Plan operators bypass
-//! the cache: their inputs live in the plan itself. Only successful runs
-//! are cached — an OOM depends on the grant under which it happened and
-//! must be re-observed, never replayed. ECC retirement flushes the cache
-//! wholesale: the capacity change alters future *grants*, not cached
-//! results, but a flush is cheap and keeps the invalidation story
-//! uniform (see DESIGN.md §15).
+//! different grant runs a different placement). The column part is
+//! content-addressed but computed at most once per
+//! [`crate::SharedWorkload`] and stored with its immutable data: every
+//! clone of a query reuses it, while separately built byte-equal
+//! workloads still fingerprint equal and hit each other. Plan operators
+//! bypass the cache: their inputs live in the plan itself. Only
+//! successful runs are cached — an OOM depends on the grant under which
+//! it happened and must be re-observed, never replayed. ECC retirement
+//! flushes the cache wholesale: the capacity change alters future
+//! *grants*, not cached results, but a flush is cheap and keeps the
+//! invalidation story uniform (see DESIGN.md §15).
 
 use std::collections::{BTreeMap, VecDeque};
 
 use triton_core::JoinReport;
+use triton_datagen::Workload;
 
 use crate::admission::{operator_with_grant, Reservation};
 use crate::query::{JoinQuery, Operator};
 
 /// 128-bit fingerprint identifying `(workload, granted operator)`.
 pub type CostKey = (u64, u64);
+
+/// 128-bit fingerprint of a workload's four relation columns, the data
+/// part of a [`CostKey`]. Computed once per [`crate::SharedWorkload`] and
+/// stored with it.
+///
+/// The columns dominate the input, so they are mixed a whole `u64` lane
+/// at a time (a splitmix-style multiply-xorshift per word and lane) —
+/// fingerprinting must stay well under the pricing run it can replace,
+/// or the memo would cost more than it saves on sustained load.
+pub(crate) fn fingerprint_columns(w: &Workload) -> CostKey {
+    #[inline]
+    fn mix(h: u64, v: u64) -> u64 {
+        let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^ (x >> 29)
+    }
+    let mut lo = 0xcbf2_9ce4_8422_2325u64;
+    let mut hi = 0x6c62_272e_07bb_0142u64;
+    for vals in [&w.r.keys, &w.r.rids, &w.s.keys, &w.s.rids] {
+        // Length first: concatenation across columns cannot alias.
+        lo = mix(lo, vals.len() as u64);
+        hi = mix(hi, (vals.len() as u64).rotate_left(17));
+        for &v in vals.iter() {
+            lo = mix(lo, v);
+            hi = mix(hi, v.rotate_left(17));
+        }
+    }
+    (lo, hi)
+}
 
 /// Bounded memo of operator pricing runs; see the module docs.
 #[derive(Debug, Default)]
@@ -78,42 +111,20 @@ impl CostCache {
     /// Fingerprint a query under its grant; `None` when this query's
     /// pricing is not cacheable (plan operators).
     ///
-    /// The relation columns dominate the input, so they are mixed a
-    /// whole `u64` lane at a time (a splitmix-style multiply-xorshift
-    /// per word and lane) — fingerprinting must stay well under the
-    /// pricing run it can replace, or the memo would cost more than it
-    /// saves on sustained load.
+    /// The relation-column part is the fingerprint stored with the
+    /// [`crate::SharedWorkload`], so a key reads the columns only the
+    /// first time any query sharing the workload is priced.
     pub fn key(query: &JoinQuery, granted: &Operator) -> Option<CostKey> {
         if matches!(query.op, Operator::Plan(_)) {
             return None;
         }
-        #[inline]
-        fn mix(h: u64, v: u64) -> u64 {
-            let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            x ^ (x >> 29)
-        }
-        let mut lo = 0xcbf2_9ce4_8422_2325u64;
-        let mut hi = 0x6c62_272e_07bb_0142u64;
-        let mut eat_u64s = |vals: &[u64]| {
-            // Length first: concatenation across columns cannot alias.
-            lo = mix(lo, vals.len() as u64);
-            hi = mix(hi, (vals.len() as u64).rotate_left(17));
-            for &v in vals {
-                lo = mix(lo, v);
-                hi = mix(hi, v.rotate_left(17));
-            }
-        };
-        let w = &query.workload;
-        eat_u64s(&w.r.keys);
-        eat_u64s(&w.r.rids);
-        eat_u64s(&w.s.keys);
-        eat_u64s(&w.s.rids);
+        let (mut lo, mut hi) = query.workload.fingerprint();
         // The granted operator's debug encoding covers every field that
         // shapes execution (algorithms, hash scheme, skew and elastic
         // policies, and the grant-dependent cache budget), and the spec
         // covers the modeled-scale factors the report echoes. Short
         // strings: byte-at-a-time FNV is fine here.
-        for byte in format!("{:?}|{:?}", granted, w.spec).bytes() {
+        for byte in format!("{:?}|{:?}", granted, query.workload.spec).bytes() {
             lo = (lo ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
             hi = (hi ^ u64::from(byte).rotate_left(17)).wrapping_mul(0x0000_0100_0000_01B3);
         }
@@ -216,11 +227,40 @@ mod tests {
         assert_eq!(c.price(&q, &grant(1 << 24), &hw()).1, Pricing::Miss);
         // Same spec, different S data (a probe batch): miss.
         let mut probe = q.clone();
-        probe.workload = JoinQuery::probe_batch(&q.workload, 99);
+        probe.workload = JoinQuery::probe_batch(&q.workload, 99).into();
         assert_eq!(c.price(&probe, &grant(0), &hw()).1, Pricing::Miss);
         assert_eq!(c.len(), 3);
         c.flush();
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn key_is_content_addressed_and_fingerprinted_once() {
+        let mut c = CostCache::new(true);
+        // Two separately generated, byte-equal workloads share a key.
+        let (a, b) = (query(1), query(1));
+        assert_eq!(c.price(&a, &grant(0), &hw()).1, Pricing::Miss);
+        assert!(a.workload.is_fingerprinted());
+        assert!(!b.workload.is_fingerprinted());
+        assert_eq!(c.price(&b, &grant(0), &hw()).1, Pricing::Hit);
+        // A probe batch of the same R is different data.
+        let probe = JoinQuery::new("t", JoinQuery::probe_batch(&a.workload, 7), Ns::ZERO);
+        assert_eq!(c.price(&probe, &grant(0), &hw()).1, Pricing::Miss);
+    }
+
+    #[test]
+    fn replacing_a_workload_never_replays_a_stale_key() {
+        let mut c = CostCache::new(true);
+        let mut q = query(1);
+        let before = CostCache::key(&q, &q.op);
+        assert_eq!(c.price(&q, &grant(0), &hw()).1, Pricing::Miss);
+        q.workload = query(2).workload;
+        assert!(
+            !q.workload.is_fingerprinted(),
+            "a new workload brings an empty slot"
+        );
+        assert_ne!(CostCache::key(&q, &q.op), before);
+        assert_eq!(c.price(&q, &grant(0), &hw()).1, Pricing::Miss);
     }
 
     #[test]

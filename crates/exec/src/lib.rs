@@ -17,7 +17,8 @@
 //!
 //! Pieces:
 //!
-//! * [`JoinQuery`] / [`Operator`] — per-query descriptors: workload,
+//! * [`JoinQuery`] / [`Operator`] — per-query descriptors: workload
+//!   (a [`SharedWorkload`]: cloning a query shares its relations),
 //!   operator choice (Triton, no-partitioning, CPU radix), priority
 //!   weight, deadline, arrival time, and a build-relation key.
 //! * [`AdmissionController`] — GPU memory reservations through a
@@ -116,7 +117,7 @@ pub use observe::{
     query_pid, GaugeSample, Recorder, METRICS_WINDOW_NS, SCHEDULER_PID, SCHED_TID_FLIGHT,
     SCHED_TID_GAUGES, TID_LIFECYCLE,
 };
-pub use query::{JoinQuery, Operator, QueryId};
+pub use query::{JoinQuery, Operator, QueryId, SharedWorkload};
 pub use resilience::{downgrade_operator, Resilience};
 pub use scheduler::{
     CompletedQuery, Outcome, RejectReason, Scheduler, SchedulerConfig, ServeResult,

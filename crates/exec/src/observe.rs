@@ -80,6 +80,7 @@ fn reject_kind(reason: &RejectReason) -> &'static str {
         RejectReason::DeadlineExceeded { .. } => "deadline",
         RejectReason::Faulted { .. } => "faulted",
         RejectReason::InvalidArrival { .. } => "invalid-arrival",
+        RejectReason::InvalidBuildKey { .. } => "invalid-build-key",
     }
 }
 

@@ -1,5 +1,8 @@
 //! Query descriptors submitted to the serving runtime.
 
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
 use triton_core::{
     CpuPartitionedJoin, CpuRadixJoin, JoinReport, NoPartitioningJoin, SkewPolicy, TritonJoin,
 };
@@ -9,6 +12,8 @@ use triton_hw::HwConfig;
 use triton_mem::OutOfMemory;
 use triton_plan::PlanQuery;
 
+use crate::cost_cache::{fingerprint_columns, CostKey};
+
 /// Identifier assigned to a submitted query, in submission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u64);
@@ -16,6 +21,64 @@ pub struct QueryId(pub u64);
 impl std::fmt::Display for QueryId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "q{}", self.0)
+    }
+}
+
+/// An immutable workload shared by reference: cloning bumps a reference
+/// count instead of copying the relations, so every arrival of a repeat
+/// statement reads the same columns in place.
+///
+/// The handle derefs to [`Workload`] but offers no mutable access, so the
+/// 128-bit fingerprint of its relation columns (the data part of a
+/// [`crate::CostKey`]) is computed at most once, on first use, and stored
+/// with the data it describes — it can never go stale. A different
+/// workload is a different handle with an empty fingerprint slot.
+#[derive(Clone)]
+pub struct SharedWorkload(Arc<Fingerprinted>);
+
+struct Fingerprinted {
+    data: Workload,
+    columns: OnceLock<CostKey>,
+}
+
+impl SharedWorkload {
+    /// Fingerprint of the relation columns (content-addressed: byte-equal
+    /// workloads fingerprint equal however they were built). Streams the
+    /// columns on the first call only.
+    pub(crate) fn fingerprint(&self) -> CostKey {
+        *self
+            .0
+            .columns
+            .get_or_init(|| fingerprint_columns(&self.0.data))
+    }
+
+    /// Whether [`Self::fingerprint`] has already been computed.
+    #[cfg(test)]
+    pub(crate) fn is_fingerprinted(&self) -> bool {
+        self.0.columns.get().is_some()
+    }
+}
+
+impl From<Workload> for SharedWorkload {
+    fn from(data: Workload) -> Self {
+        SharedWorkload(Arc::new(Fingerprinted {
+            data,
+            columns: OnceLock::new(),
+        }))
+    }
+}
+
+impl Deref for SharedWorkload {
+    type Target = Workload;
+
+    fn deref(&self) -> &Workload {
+        &self.0.data
+    }
+}
+
+impl std::fmt::Debug for SharedWorkload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.data.fmt(f)
     }
 }
 
@@ -76,6 +139,20 @@ impl Operator {
         }
     }
 
+    /// The first build key of `w` this operator cannot hold, if any.
+    /// Only the no-partitioning join's global hash tables constrain keys
+    /// (see [`NoPartitioningJoin::unfit_build_key`]); the scheduler refuses
+    /// such a query at intake rather than let it panic mid-run.
+    pub fn unfit_build_key(&self, w: &Workload) -> Option<u64> {
+        match self {
+            Operator::NoPartitioning(j) => j.unfit_build_key(&w.r),
+            Operator::Triton(_)
+            | Operator::CpuPartitioned(_)
+            | Operator::CpuRadix(_)
+            | Operator::Plan(_) => None,
+        }
+    }
+
     /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -99,10 +176,12 @@ impl Operator {
 pub struct JoinQuery {
     /// Human-readable tag (tenant, statement id, ...).
     pub name: String,
-    /// The workload to join. Queries sharing a build relation should carry
-    /// the same `build_key` and byte-identical `w.r` (see
+    /// The workload to join, shared by reference: cloning the query
+    /// shares its relations and their fingerprint rather than copying
+    /// them. Queries sharing a build relation should carry the same
+    /// `build_key` and byte-identical `w.r` (see
     /// [`JoinQuery::probe_batch`]).
-    pub workload: Workload,
+    pub workload: SharedWorkload,
     /// Operator choice.
     pub op: Operator,
     /// Scheduling weight: relative share of machine resources while
@@ -127,10 +206,10 @@ pub struct JoinQuery {
 
 impl JoinQuery {
     /// A plain query: default Triton join, normal priority, no deadline.
-    pub fn new(name: impl Into<String>, workload: Workload, arrival: Ns) -> Self {
+    pub fn new(name: impl Into<String>, workload: impl Into<SharedWorkload>, arrival: Ns) -> Self {
         JoinQuery {
             name: name.into(),
-            workload,
+            workload: workload.into(),
             op: Operator::triton(),
             priority: 1,
             deadline: None,
@@ -158,7 +237,7 @@ impl JoinQuery {
         };
         JoinQuery {
             name: name.into(),
-            workload: Workload { r, s, spec },
+            workload: Workload { r, s, spec }.into(),
             op: Operator::Plan(Box::new(plan)),
             priority: 1,
             deadline: None,
@@ -276,6 +355,21 @@ mod tests {
         // All probe keys land in R's key domain (full match fraction).
         let n_r = base.r.len() as u64;
         assert!(a.s.keys.iter().all(|&k| (1..=n_r).contains(&k)));
+    }
+
+    #[test]
+    fn cloned_query_shares_its_relations() {
+        let q = JoinQuery::new(
+            "t",
+            WorkloadSpec::paper_default(2, 2048).generate(),
+            Ns::ZERO,
+        );
+        let clone = q.clone();
+        assert_eq!(clone.workload.r.keys.as_ptr(), q.workload.r.keys.as_ptr());
+        assert_eq!(clone.workload.s.rids.as_ptr(), q.workload.s.rids.as_ptr());
+        // The fingerprint lives with the shared data, so one computes it for both.
+        q.workload.fingerprint();
+        assert!(clone.workload.is_fingerprinted());
     }
 
     #[test]

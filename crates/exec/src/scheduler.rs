@@ -114,6 +114,14 @@ pub enum RejectReason {
         /// The submitted arrival time.
         arrival: Ns,
     },
+    /// The operator's hash table cannot hold a build key (the
+    /// no-partitioning join's array table needs distinct keys in
+    /// `1..=|R|`): the query is refused when it arrives instead of
+    /// panicking mid-run.
+    InvalidBuildKey {
+        /// The first build key the operator cannot hold.
+        key: u64,
+    },
 }
 
 impl std::fmt::Display for RejectReason {
@@ -132,6 +140,9 @@ impl std::fmt::Display for RejectReason {
             }
             RejectReason::InvalidArrival { arrival } => {
                 write!(f, "arrival time {} ns is not finite", arrival.0)
+            }
+            RejectReason::InvalidBuildKey { key } => {
+                write!(f, "build key {key} does not fit the operator's hash table")
             }
         }
     }
@@ -690,6 +701,10 @@ impl Run<'_> {
                 let Some((id, query)) = arrivals.pop_front() else {
                     break;
                 };
+                if let Some(key) = query.op.unfit_build_key(&query.workload) {
+                    self.reject(id, &query, RejectReason::InvalidBuildKey { key });
+                    continue;
+                }
                 if self.queue.len() >= self.config.max_queue {
                     let reason = RejectReason::QueueFull {
                         limit: self.config.max_queue,

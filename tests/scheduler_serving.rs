@@ -3,8 +3,8 @@
 //! shedding, and build-side sharing — with join results cross-checked
 //! against the reference join.
 
-use triton_core::{reference_join, CpuRadixJoin, HashScheme};
-use triton_datagen::WorkloadSpec;
+use triton_core::{reference_join, CpuRadixJoin, HashScheme, NoPartitioningJoin};
+use triton_datagen::{Relation, Workload, WorkloadSpec};
 use triton_exec::{JoinQuery, Operator, Outcome, RejectReason, Scheduler, SchedulerConfig};
 use triton_hw::units::Ns;
 use triton_hw::HwConfig;
@@ -250,6 +250,48 @@ fn non_finite_arrivals_are_rejected_at_intake() {
                 assert_eq!(arrival.0.to_bits(), bad.to_bits());
             }
             other => panic!("arrival {bad}: expected InvalidArrival, got {other:?}"),
+        }
+        assert_eq!(res.metrics.rejected, 1);
+    }
+}
+
+/// The no-partitioning join's hash tables cannot hold every key: the
+/// array table needs distinct keys in `1..=|R|`, and linear probing
+/// cannot tag `u64::MAX`. A query with such a build key is refused with
+/// a typed reason when it arrives instead of panicking mid-run, while a
+/// dense-keyed query on the same operator still completes exactly.
+#[test]
+fn npj_refuses_build_keys_its_table_cannot_hold() {
+    let cases = [
+        (NoPartitioningJoin::perfect(), vec![7]),
+        (NoPartitioningJoin::perfect(), vec![0, 1]),
+        (NoPartitioningJoin::perfect(), vec![u64::MAX, u64::MAX]),
+        (NoPartitioningJoin::linear_probing(), vec![u64::MAX, 1]),
+    ];
+    for (join, keys) in cases {
+        let npj = |name: &str, w: Workload| {
+            let mut q = JoinQuery::new(name, w, Ns::ZERO);
+            q.op = Operator::NoPartitioning(join.clone());
+            q
+        };
+        let dense = npj("dense", WorkloadSpec::paper_default(8, K).generate());
+        let expected = reference_join(&dense.workload);
+        let rids: Vec<u64> = (0..keys.len() as u64).collect();
+        let bad = npj(
+            "bad",
+            Workload {
+                r: Relation::from_columns(keys.clone(), rids.clone()),
+                s: Relation::from_columns(keys.clone(), rids),
+                spec: WorkloadSpec::paper_default(8, K),
+            },
+        );
+        let res = Scheduler::new(hw(), SchedulerConfig::default()).run(vec![dense, bad]);
+        assert_eq!(res.outcomes.len(), 2, "keys {keys:?}: one outcome each");
+        let done = res.outcomes[0].completed().expect("dense keys complete");
+        assert_eq!(done.report.result, expected);
+        match res.outcomes[1].rejection() {
+            Some(RejectReason::InvalidBuildKey { key }) => assert_eq!(*key, keys[0]),
+            other => panic!("keys {keys:?}: expected InvalidBuildKey, got {other:?}"),
         }
         assert_eq!(res.metrics.rejected, 1);
     }
